@@ -6,9 +6,9 @@ since a misspelled tolerance that silently falls back to a default is
 worse than an error.  Every run writes a manifest holding the resolved
 configuration, its hash, seeds, and library versions.
 
-Exit codes: 2 usage, 3 unreadable files, 4 infeasible budget.  A
-certificate whose hypotheses fail still exits 0; failed hypotheses are
-results, not errors.
+Exit codes: 2 usage, 3 unreadable files, 4 infeasible budget or a size
+request past a resource cap.  A certificate whose hypotheses fail still
+exits 0; failed hypotheses are results, not errors.
 """
 
 from __future__ import annotations
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
         return 2
     except InfeasibleBudgetError as exc:
         print(f"infeasible budget: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

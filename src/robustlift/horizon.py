@@ -1,19 +1,25 @@
-"""Stacking the lifted recurrence over a time window into one linear solve.
+"""Stacking the lifted recurrence over a time window into one linear system.
 
 The unknown is Y = (y(0), ..., y(T)).  Row block 0 pins y(0); row block
-t >= 1 encodes y(t) - B(t-1) y(t-1) = c(t-1).  The matrix therefore has
+t >= 1 encodes y(t) - B(t-1) y(t-1) = c(t-1).  The matrix M therefore has
 identity diagonal blocks and -B(t) on the subdiagonal, and the right
 hand side stacks the initial lift above the constant columns.
 
-A normalized copy M / (1 + rho) with operator norm at most one is kept
-alongside; `row_access` reproduces its rows entry for entry from the
-stored step blocks, which is what a query oracle would serve.
+The system is held as its steps: `HorizonSystem.matvec` applies M block
+by block, and the solvers substitute through the same blocks.  The
+stacked CSR of M and of its normalized copy M / (1 + rho) is built only
+when something asks for it (the dense SVD, Matrix Market export, a row
+check), and only after its closed-form nonzero count is checked against
+`MAX_STACKED_NNZ`.  `row_access` reproduces the normalized rows entry
+for entry from the stored step blocks, which is what a query oracle
+would serve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -36,12 +42,12 @@ __all__ = [
 ]
 
 DENSE_SVD_LIMIT = 2000
+# largest stacked matrix, in nonzeros, that the lazy CSR builder allocates
+MAX_STACKED_NNZ = 50_000_000
 
 
 @dataclass(frozen=True)
 class HorizonSystem:
-    matrix: sparse.csr_matrix
-    matrix_normalized: sparse.csr_matrix
     rhs: np.ndarray
     rhs_normalized: np.ndarray
     steps: tuple[LiftedStep, ...]
@@ -65,12 +71,52 @@ class HorizonSystem:
     def inv_scale(self) -> float:
         return 1.0 / (1.0 + self.rho)
 
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        """M y, applied block by block from the steps."""
+        blocks = np.asarray(y, dtype=float).reshape(self.t_window + 1,
+                                                    self.block_dim)
+        out = blocks.copy()
+        for t, step in enumerate(self.steps):
+            out[t + 1] -= step.b_matrix @ blocks[t]
+        return out.reshape(-1)
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """Stacked CSR of M, built on first access."""
+        return self._stacked_csr()
+
+    @cached_property
+    def matrix_normalized(self) -> sparse.csr_matrix:
+        """Stacked CSR of M / (1 + rho), built on first access."""
+        out = self._stacked_csr()
+        out.data *= self.inv_scale
+        return out
+
+    def _stacked_csr(self) -> sparse.csr_matrix:
+        nnz = self.dim + sum(s.b_matrix.nnz for s in self.steps)
+        if nnz > MAX_STACKED_NNZ:
+            raise MemoryError(f"stacked matrix would hold {nnz} nonzeros, "
+                              f"above MAX_STACKED_NNZ = {MAX_STACKED_NNZ}")
+        # COO triplets block by block; the CSR conversion sorts each row
+        dim = self.block_dim
+        diag = np.arange(self.dim)
+        rows, cols, vals = [diag], [diag], [np.ones(self.dim)]
+        for t, step in enumerate(self.steps):
+            b = step.b_matrix.tocoo()
+            rows.append(b.row + (t + 1) * dim)
+            cols.append(b.col + t * dim)
+            vals.append(-b.data)
+        return sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim))
+
 
 def assemble_horizon(steps, y0: np.ndarray, rho: float,
                      dims: tuple[int, int] | None = None) -> HorizonSystem:
-    """Build M, its normalized copy, and the stacked right hand side.
+    """Check the steps and stack the right hand side, normalized and not.
 
-    An empty step list is the T = 0 window (M is the identity); it needs
+    No stacked matrix is built here; see `HorizonSystem.matrix`.  An
+    empty step list is the T = 0 window (M is the identity); it needs
     explicit dims = (d, n_levels) since no step carries them.
     """
     per_step = tuple(steps) if isinstance(steps, (list, tuple)) else (steps,)
@@ -89,23 +135,10 @@ def assemble_horizon(steps, y0: np.ndarray, rho: float,
     if rho < 0:
         raise ValueError("rho must be nonnegative")
 
-    t_window = len(per_step)
-    eye = sparse.identity(dim, format="csr")
-    grid = [[None] * (t_window + 1) for _ in range(t_window + 1)]
-    for t in range(t_window + 1):
-        grid[t][t] = eye
-        if t >= 1:
-            grid[t][t - 1] = (-per_step[t - 1].b_matrix).tocsr()
-    matrix = sparse.bmat(grid, format="csr")
-    inv = 1.0 / (1.0 + rho)
-    normalized = matrix.copy()
-    normalized.data = normalized.data * inv
     rhs = np.concatenate([y0] + [s.c_vector for s in per_step])
     return HorizonSystem(
-        matrix=matrix,
-        matrix_normalized=normalized,
         rhs=rhs,
-        rhs_normalized=rhs * inv,
+        rhs_normalized=rhs * (1.0 / (1.0 + rho)),
         steps=per_step,
         rho=float(rho),
         d=d,

@@ -350,7 +350,7 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
 def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
                              probe_deltas: tuple[float, float] = (1e-3, 1e-3),
                              n_probe: int = 4, n_max: int = 12,
-                             max_stacked_nnz: int = 50_000_000,
+                             max_stacked_nnz: int = horizon.MAX_STACKED_NNZ,
                              p_star_fraction: float = 0.9,
                              rho_margin: float = 0.05,
                              vbar_margin: float = 0.05,

@@ -1,9 +1,11 @@
 """Solving the stacked system and costing its oracle-model counterpart.
 
-Two classical routes produce the same stacked trajectory: forward
-substitution through the recurrence (the system is block lower
-triangular) and a sparse direct solve of the normalized matrix.  Both
-report residuals so disagreement is loud.
+Two classical routes produce the same stacked trajectory: the forward
+recursion y(t+1) = B(t) y(t) + c(t) on the raw system, and block
+forward substitution on the normalized system, whose matrix is block
+lower bidiagonal with diagonal blocks I / (1 + rho) and so needs no
+factorization.  Both read only the step blocks, and both report
+residuals taken from `HorizonSystem.matvec`, so disagreement is loud.
 
 The resource model prices a quantum linear-system call with explicit
 constants; every log is clamped at one so estimates stay monotone in
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
 from .horizon import HorizonSystem
 
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-14
+
+
+def _relative_residual(applied: np.ndarray, rhs: np.ndarray) -> float:
+    resid = np.linalg.norm(applied - rhs)
+    return float(resid / max(np.linalg.norm(rhs), 1e-300))
 
 
 @dataclass(frozen=True)
@@ -49,9 +55,8 @@ def solve_forward(system: HorizonSystem) -> ForwardResult:
     for t in range(t_window):
         y[t + 1] = system.steps[t].apply(y[t])
     stacked = y.reshape(-1)
-    resid = np.linalg.norm(system.matrix @ stacked - system.rhs)
-    scale = max(np.linalg.norm(system.rhs), 1e-300)
-    return ForwardResult(y, stacked, float(resid / scale))
+    return ForwardResult(y, stacked,
+                         _relative_residual(system.matvec(stacked), system.rhs))
 
 
 @dataclass(frozen=True)
@@ -67,16 +72,24 @@ class SolveResult:
 
 
 def solve_linear_system(system: HorizonSystem) -> SolveResult:
-    """Sparse direct solve of the normalized system.
+    """Block forward substitution on the normalized system.
 
-    Returns the stacked solution and its unit-norm copy; the first block
-    always equals the supplied initial lift up to solver precision.
+    With inv = 1 / (1 + rho) and r the normalized right hand side, block
+    row 0 gives y(0) = r(0) / inv and block row t+1 gives
+    y(t+1) = (r(t+1) + inv B(t) y(t)) / inv, which solves the system
+    exactly without building or factorizing the stacked matrix.  Returns
+    the stacked solution and its unit-norm copy; the first block always
+    equals the supplied initial lift up to rounding.
     """
-    mat = system.matrix_normalized.tocsc()
-    stacked = np.asarray(spsolve(mat, system.rhs_normalized))
-    resid = np.linalg.norm(system.matrix_normalized @ stacked
-                           - system.rhs_normalized)
-    scale = max(np.linalg.norm(system.rhs_normalized), 1e-300)
+    inv = system.inv_scale
+    rhs = system.rhs_normalized
+    y = np.empty((system.t_window + 1, system.block_dim))
+    r = rhs.reshape(y.shape)
+    y[0] = r[0] / inv
+    for t, step in enumerate(system.steps):
+        y[t + 1] = (r[t + 1] + inv * (step.b_matrix @ y[t])) / inv
+    stacked = y.reshape(-1)
+    residual = _relative_residual(inv * system.matvec(stacked), rhs)
     norm = float(np.linalg.norm(stacked))
     if norm <= 0.0:
         raise ArithmeticError("stacked solution vanished; nothing to normalize")
@@ -84,13 +97,12 @@ def solve_linear_system(system: HorizonSystem) -> SolveResult:
     drift = abs(np.linalg.norm(unit) - 1.0)
     if drift > UNIT_NORM_TOL:
         unit = unit / np.linalg.norm(unit)
-    dim = system.block_dim
     return SolveResult(
         stacked=stacked,
         normalized_state=unit,
         norm=norm,
-        residual=float(resid / scale),
-        y_blocks=stacked.reshape(system.t_window + 1, dim),
+        residual=residual,
+        y_blocks=y,
     )
 
 

@@ -84,6 +84,13 @@ class TestExitCodes:
         code, _ = run(["certify"], tmp_path)
         assert code == 4
 
+    def test_size_limit_is_four(self, tmp_path, capsys):
+        # ~2^41 lifted coordinates: the lift's dimension cap refuses it
+        cfg = write_config(tmp_path, "[instance]\nn_levels = 40\n")
+        code, _ = run(["build-lift", "--config", cfg], tmp_path)
+        assert code == 4
+        assert "resource limit:" in capsys.readouterr().err
+
     def test_flagged_certificate_still_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[instance]\nt_window = 6\n"
                                      "eps_out = 0.3\nmode = state\n")

@@ -8,6 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.io import mmread
 
+import robustlift.horizon as horizon_module
 from robustlift.carleman import (
     build_lifted_step,
     lift_state,
@@ -93,6 +94,30 @@ class TestAssembly:
         np.testing.assert_allclose(system.matrix_normalized.toarray(),
                                    system.matrix.toarray() * system.inv_scale,
                                    atol=1e-15)
+
+    def test_matches_block_assembly(self):
+        # scipy's bmat over the block grid is the reference layout
+        _, step, system = toy_system(t_window=7)
+        grid = [[None] * 8 for _ in range(8)]
+        for t in range(8):
+            grid[t][t] = sparse.identity(system.block_dim, format="csr")
+            if t >= 1:
+                grid[t][t - 1] = -step.b_matrix
+        ref = sparse.bmat(grid, format="csr")
+        for got, scale in ((system.matrix, 1.0),
+                           (system.matrix_normalized, system.inv_scale)):
+            np.testing.assert_array_equal(got.indptr, ref.indptr)
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            np.testing.assert_array_equal(got.data, ref.data * scale)
+
+    def test_preflight_refuses_oversized_stack(self, monkeypatch):
+        _, step, system = toy_system(t_window=7)
+        nnz = 8 * system.block_dim + 7 * step.b_matrix.nnz
+        monkeypatch.setattr(horizon_module, "MAX_STACKED_NNZ", nnz - 1)
+        for name in ("matrix", "matrix_normalized"):
+            with pytest.raises(MemoryError, match=str(nnz)):
+                getattr(system, name)
+            assert name not in system.__dict__
 
     def test_dimension_mismatch_rejected(self):
         coeffs = quadratic_coeffs(2)

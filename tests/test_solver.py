@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from robustlift.carleman import (
     build_lifted_step,
@@ -12,6 +14,7 @@ from robustlift.carleman import (
 )
 from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.horizon import assemble_horizon
+from robustlift.instances import random_coeff_map
 from robustlift.multipoly import MultiPoly
 from robustlift.solver import (
     ResourceModel,
@@ -78,6 +81,52 @@ class TestClassicalSolve:
         system = assemble_horizon([step] * 3, np.zeros(1), 0.5)
         with pytest.raises(ArithmeticError):
             solve_linear_system(system)
+
+
+def random_window(seed, d, degree, n_levels, t_window):
+    """A dense random map's lifted window, solved both ways."""
+    rng = np.random.default_rng(seed)
+    coeffs = random_coeff_map(rng, d, degree)
+    v0 = rng.standard_normal(d)
+    v0 *= 0.2 / max(np.linalg.norm(v0), 1e-12)
+    rho = majorant_and_contractivity(coeffs, n_levels).rho
+    step = build_lifted_step(coeffs, n_levels)
+    system = assemble_horizon([step] * t_window, lift_state(v0, n_levels),
+                              rho, dims=(d, n_levels))
+    return system, solve_linear_system(system), solve_forward(system)
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestDifferential:
+    """Block substitution against independent routes across a size ladder."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]),
+           degree=st.integers(1, 3), n_levels=st.integers(1, 4),
+           t_window=st.sampled_from([0, 1, 7, 30]))
+    @settings(max_examples=60, deadline=None)
+    def test_ladder(self, seed, d, degree, n_levels, t_window):
+        system, sol, fwd = random_window(seed, d, degree, n_levels, t_window)
+        # the independent triangular route, which needs the stacked CSR
+        ref = spsolve_triangular(system.matrix_normalized,
+                                 system.rhs_normalized, lower=True)
+        assert rel_gap(sol.stacked, ref) <= 1e-10
+        assert rel_gap(sol.stacked, fwd.stacked) <= 1e-10
+        y = np.random.default_rng(seed).standard_normal(system.dim)
+        assert rel_gap(system.matvec(y), system.matrix @ y) <= 1e-13
+        assert sol.residual <= 1e-12 and fwd.residual <= 1e-12
+
+    def test_frontier_size_solves_without_stacked_matrix(self):
+        # (d=4, degree 3, N=5, T=50): 1364-wide blocks, ~93M stacked nonzeros
+        system, sol, fwd = random_window(5, 4, 3, 5, 50)
+        assert sol.residual <= 1e-12 and fwd.residual <= 1e-12
+        assert rel_gap(sol.stacked, fwd.stacked) <= 1e-10
+        assert "matrix" not in system.__dict__
+        assert "matrix_normalized" not in system.__dict__
+        with pytest.raises(MemoryError, match="MAX_STACKED_NNZ"):
+            system.matrix
 
 
 class TestResourceModel:
