@@ -25,6 +25,7 @@ import numpy as np
 
 from . import carleman, horizon, solver
 from .dynamics import CoupledState, folded_poly_step, one_step_delta_bound
+from .readout import _CLIP_ACC_LABELS, _SIGN_ACC_LABELS, _achieved_delta
 
 __all__ = [
     "BenchDataError",
@@ -462,18 +463,17 @@ def compare_reduction(instance, delta_s: float, delta_c: float,
         one = folded_poly_step(start, t, sched, grads, p_s, p_c)
         step_err = max(step_err, float(
             np.linalg.norm(one.delta - exact[t + 1, :m])))
-    d_s = max(delta_s, _certified(p_s, ("gap_plus", "gap_minus")))
-    d_c = max(delta_c, _certified(p_c, ("inner", "outer_plus", "outer_minus")))
+    d_s = max(delta_s, _achieved_delta(p_s, _SIGN_ACC_LABELS) or 0.0)
+    d_c = max(delta_c, _achieved_delta(p_c, _CLIP_ACC_LABELS) or 0.0)
     step_bound = one_step_delta_bound(m, sched.eta_delta_max, d_s,
                                       sched.eps_ball, d_c)
 
     dev = (folded - instance.center) * instance.scale
     vbar = float(np.linalg.norm(dev, axis=1).max())
-    exp = instance.build_expansion(p_s, p_c, n_levels)
-    coeffs = exp.coeffs if hasattr(exp, "coeffs") else exp
-    major = carleman.majorant_and_contractivity(exp, n_levels)
+    coeffs = instance.build_expansion(p_s, p_c)
+    major = carleman.majorant_and_contractivity(coeffs, n_levels)
     rho = min(major.rho, 0.999999)
-    tail = carleman.tail_constant_and_cutoff(exp, n_levels, vbar, t_window,
+    tail = carleman.tail_constant_and_cutoff(coeffs, n_levels, vbar, t_window,
                                              rho, 1e-12)
     step = carleman.build_lifted_step(coeffs, n_levels)
     y0 = carleman.lift_state(dev[0], n_levels)
@@ -498,10 +498,3 @@ def compare_reduction(instance, delta_s: float, delta_c: float,
         solve_residual=sol.residual,
     )
 
-
-def _certified(poly, labels) -> float:
-    if poly is None or poly.certificate is None:
-        return 0.0
-    sups = [c.certified_sup for c in poly.certificate.checks
-            if c.label in labels]
-    return max(sups) if sups else 0.0

@@ -28,7 +28,6 @@ __all__ = [
     "delta_dim",
     "level_offsets",
     "lift_state",
-    "carleman_block",
     "LiftedStep",
     "build_lifted_step",
     "RecurrenceResult",
@@ -39,10 +38,6 @@ __all__ = [
     "tail_constant_and_cutoff",
     "design_cutoff",
     "lift_lipschitz",
-    "lifted_model_error",
-    "SegmentSpec",
-    "SegmentedReport",
-    "segmented_truncation",
 ]
 
 DEFAULT_DIM_CAP = 5_000_000
@@ -80,31 +75,6 @@ def _degree_matrices(coeffs, top: int) -> list[sparse.csr_matrix | None]:
         else:
             mats.append(None)
     return mats
-
-
-def carleman_block(coeffs, j: int, s: int) -> sparse.csr_matrix:
-    """Transfer block K_{j,s} of the lifted step (d^j x d^s)."""
-    d = coeffs.d
-    top = min(coeffs.degree, s)
-    mats = _degree_matrices(coeffs, top)
-    row = {s0: (mats[s0] if s0 <= top else None) for s0 in range(s + 1)}
-    for level in range(2, j + 1):
-        new: dict[int, sparse.csr_matrix | None] = {}
-        for target in range(s + 1):
-            acc = None
-            for ell in range(min(top, target) + 1):
-                left = mats[ell]
-                right = row.get(target - ell)
-                if left is None or right is None:
-                    continue
-                term = sparse.kron(left, right, format="csr")
-                acc = term if acc is None else acc + term
-            new[target] = acc
-        row = new
-    out = row.get(s)
-    if out is None:
-        return sparse.csr_matrix((d**j, d**s))
-    return out.tocsr()
 
 
 @dataclass(frozen=True)
@@ -209,13 +179,9 @@ def run_truncated_recurrence(steps, y0: np.ndarray, t_window: int,
 
 def _low_norms(expansion, keep: int) -> np.ndarray:
     """Exact operator norms for degrees 0..keep-1, zero padded."""
-    series = np.asarray(expansion.low_norms(), dtype=float)
+    series = np.asarray(expansion.norm_bounds(), dtype=float)
     if (series < 0).any():
         raise ValueError("operator-norm series must be nonnegative")
-    cap = getattr(expansion, "cap", len(series) - 1)
-    if expansion.degree > cap and cap < keep - 1:
-        # degrees beyond the exact cap are tail territory, not zeros
-        raise ValueError("expansion cap is below the requested level count")
     out = np.zeros(keep)
     out[: min(keep, len(series))] = series[:keep]
     return out
@@ -387,40 +353,3 @@ def lift_lipschitz(n_levels: int, vbar: float) -> float:
     total = sum(j * j * vbar ** (2 * j - 2) for j in range(1, n_levels + 1))
     return math.sqrt(total)
 
-
-def lifted_model_error(l_lift: float, eps_base_step: float) -> float:
-    return l_lift * eps_base_step
-
-
-# ----------------------------------------------------------------------
-# segmented horizons
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    length: int
-    gamma_n: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("segment length must be at least 1")
-        if not (0.0 <= self.rho < 1.0):
-            raise ValueError("segment rho must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class SegmentedReport:
-    per_segment: np.ndarray
-    global_bound: float
-
-
-def segmented_truncation(segments: list[SegmentSpec]) -> SegmentedReport:
-    """Per-segment stacked bounds and their root-sum-square composition."""
-    if not segments:
-        raise ValueError("need at least one segment")
-    per = np.array([
-        math.sqrt(seg.length + 1) * seg.gamma_n / (1.0 - seg.rho)
-        for seg in segments
-    ])
-    return SegmentedReport(per, float(np.linalg.norm(per)))

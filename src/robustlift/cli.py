@@ -175,8 +175,7 @@ def cmd_design_polys(cfg: dict, outdir: str) -> list[str]:
 def cmd_expand_step(cfg: dict, outdir: str) -> list[str]:
     instance = _instance_from_config(cfg)
     p_s, p_c = _instance_polys(instance, cfg)
-    exp = instance.build_expansion(p_s, p_c, cfg["instance"]["n_levels"])
-    coeffs = exp.coeffs if hasattr(exp, "coeffs") else exp
+    coeffs = instance.build_expansion(p_s, p_c)
     path = os.path.join(outdir, "step_coefficients.json")
     with open(path, "w") as fh:
         fh.write(coeffs.to_json())
@@ -189,14 +188,13 @@ def _lifted_pieces(cfg: dict):
     instance = _instance_from_config(cfg)
     p_s, p_c = _instance_polys(instance, cfg)
     n_levels = cfg["instance"]["n_levels"]
-    exp = instance.build_expansion(p_s, p_c, n_levels)
-    coeffs = exp.coeffs if hasattr(exp, "coeffs") else exp
+    coeffs = instance.build_expansion(p_s, p_c)
     step = carleman.build_lifted_step(coeffs, n_levels)
     states = (instance.folded_states(p_s, p_c) if instance.uses_fold
               else instance.exact_states())
     dev0 = (states[0].vector - instance.center) * instance.scale
     y0 = carleman.lift_state(dev0, n_levels)
-    rho = carleman.majorant_and_contractivity(exp, n_levels).rho
+    rho = carleman.majorant_and_contractivity(coeffs, n_levels).rho
     return instance, step, y0, rho
 
 
@@ -220,7 +218,8 @@ def cmd_assemble(cfg: dict, outdir: str) -> list[str]:
     from . import horizon
 
     instance, step, y0, rho = _lifted_pieces(cfg)
-    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho)
+    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho,
+                                      dims=(step.d, step.n_levels))
     m_path = os.path.join(outdir, "horizon_matrix.mtx")
     horizon.save_matrix_market(system, m_path)
     r_path = os.path.join(outdir, "horizon_rhs.npy")
@@ -237,7 +236,8 @@ def cmd_solve(cfg: dict, outdir: str) -> list[str]:
     from . import horizon, solver
 
     instance, step, y0, rho = _lifted_pieces(cfg)
-    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho)
+    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho,
+                                      dims=(step.d, step.n_levels))
     sol = solver.solve_linear_system(system)
     s_path = os.path.join(outdir, "solution.npy")
     np.save(s_path, sol.stacked)

@@ -38,7 +38,6 @@ __all__ = [
     "structural_step_polys",
     "recentre_polys",
     "PolynomialMapCoeffs",
-    "TruncatedMapExpansion",
     "DegreeOverflowError",
     "expand_polynomial_map",
     "AttackSubstep",
@@ -49,7 +48,6 @@ __all__ = [
     "one_step_delta_bound",
     "base_step_error_bound",
     "scaled_base_step_error_bound",
-    "dump_trajectory",
 ]
 
 
@@ -371,10 +369,6 @@ class PolynomialMapCoeffs:
     def degree(self) -> int:
         return max(self.terms, default=0)
 
-    @property
-    def cap(self) -> int:
-        return self.degree
-
     @classmethod
     def from_coordinate_polys(cls, polys: list[MultiPoly],
                               tol: float = 0.0) -> "PolynomialMapCoeffs":
@@ -430,9 +424,6 @@ class PolynomialMapCoeffs:
         for ell in self.terms:
             out[ell] = self.operator_norm(ell)
         return out
-
-    # the norm-series contract shared with TruncatedMapExpansion
-    low_norms = norm_bounds
 
     def series_value(self, x: float) -> float:
         """sum_l ||Q_l|| x^l; every coefficient is exact here."""
@@ -497,42 +488,6 @@ class PolynomialMapCoeffs:
             for ell, entries in payload["terms"].items()
         }
         return cls(int(payload["d"]), terms)
-
-
-@dataclass(frozen=True)
-class TruncatedMapExpansion:
-    """Exact coefficients through `cap`, certified norm tail beyond.
-
-    `tail_value(x)` bounds sum_{l > cap} ||Q_l|| x^l in closed form, so
-    maps whose true degree is in the tens of thousands never materialize
-    per-order arrays.  The exact part is enough to assemble the truncated
-    lifted step; the tail feeds the discarded-level constants.
-    """
-
-    coeffs: PolynomialMapCoeffs
-    cap: int
-    degree: int
-    tail_value: object
-
-    def __post_init__(self) -> None:
-        if self.coeffs.degree > self.cap:
-            raise ValueError("exact coefficients exceed the stated cap")
-        if not callable(self.tail_value):
-            raise TypeError("tail_value must map a radius to a tail bound")
-
-    @property
-    def d(self) -> int:
-        return self.coeffs.d
-
-    def low_norms(self) -> np.ndarray:
-        out = np.zeros(self.cap + 1)
-        exact = self.coeffs.norm_bounds()
-        out[: len(exact)] = exact
-        return out
-
-    def series_value(self, x: float) -> float:
-        low = float(np.polynomial.polynomial.polyval(x, self.low_norms()))
-        return low + float(self.tail_value(x))
 
 
 def expand_polynomial_map(step_closure, d: int, d_max: int,
@@ -704,15 +659,3 @@ def scaled_base_step_error_bound(delta_step_err: float, eta_u: float,
     return ((scale_delta + scale_u * eta_u * l_u_delta) * delta_step_err
             + scale_u * eta_u * eps_u_grad)
 
-
-def dump_trajectory(path: str, states: list[CoupledState]) -> None:
-    m = states[0].m
-    n = states[0].n
-    header = ",".join(["t"] + [f"delta_{i}" for i in range(m)]
-                      + [f"u_{j}" for j in range(n)])
-    lines = [header]
-    for t, s in enumerate(states):
-        row = [str(t)] + [repr(float(x)) for x in s.vector]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

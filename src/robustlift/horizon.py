@@ -33,9 +33,7 @@ __all__ = [
     "row_access",
     "SparsityReport",
     "sparsity_bounds",
-    "composition_count",
     "hockey_stick_total",
-    "uniform_sparsity_bound",
     "ConditionReport",
     "condition_bounds",
     "save_matrix_market",
@@ -172,25 +170,9 @@ def row_access(system: HorizonSystem, t: int, r: int) -> list[tuple[int, float]]
 # sparsity
 
 
-def composition_count(j: int, s: int, degree: int) -> int:
-    """Number of words alpha in {0..degree}^j with |alpha| = s, exactly."""
-    total = 0
-    for k in range(j + 1):
-        rem = s - k * (degree + 1)
-        if rem < 0:
-            break
-        total += (-1) ** k * math.comb(j, k) * math.comb(rem + j - 1, j - 1)
-    return total
-
-
 def hockey_stick_total(j: int, n_levels: int) -> int:
     """sum_{s=1..N} C(s+j-1, j-1) collapsed to C(N+j, j) - 1."""
     return math.comb(n_levels + j, j) - 1
-
-
-def uniform_sparsity_bound(s_star: int, n_levels: int) -> int:
-    return max(s_star**j * hockey_stick_total(j, n_levels)
-               for j in range(1, n_levels + 1))
 
 
 @dataclass(frozen=True)
@@ -199,12 +181,9 @@ class SparsityReport:
     block_row_bounds: np.ndarray
     s_b: int
     s_row: int
-    uniform_s_star: int | None
-    uniform_bound: int | None
 
 
-def sparsity_bounds(row_sparsities, n_levels: int,
-                    s_star: int | None = None) -> SparsityReport:
+def sparsity_bounds(row_sparsities, n_levels: int) -> SparsityReport:
     """Row-sparsity bounds of B and of the stacked matrix.
 
     `row_sparsities` holds, per step, the per-degree row sparsities
@@ -245,9 +224,6 @@ def sparsity_bounds(row_sparsities, n_levels: int,
         block_row_bounds=worst_rows,
         s_b=s_b,
         s_row=s_b + 1,
-        uniform_s_star=s_star,
-        uniform_bound=(uniform_sparsity_bound(s_star, n_levels)
-                       if s_star is not None else None),
     )
 
 

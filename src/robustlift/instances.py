@@ -30,7 +30,6 @@ from .dynamics import (
     PolynomialMapCoeffs,
     StepMonitor,
     StepSchedule,
-    TruncatedMapExpansion,
     exact_outer_step,
     folded_poly_step,
     recentre_polys,
@@ -119,7 +118,7 @@ class CertifyInstance:
             polys.append(MultiPoly.affine(d, lin, const))
         return polys
 
-    def build_expansion(self, p_s, p_c, cap: int) -> PolynomialMapCoeffs:
+    def build_expansion(self, p_s, p_c) -> PolynomialMapCoeffs:
         eta_u = self.sched.eta_u
         if eta_u.size and not np.allclose(eta_u, eta_u[0]):
             raise ValueError("the realized step assumes a uniform learner rate")
@@ -219,7 +218,7 @@ class FoldedInstance:
     def fresh_monitor(self) -> StepMonitor:
         return StepMonitor(self.tau_s, self.tau_c, self.big_l)
 
-    def build_expansion(self, p_s, p_c, cap: int) -> PolynomialMapCoeffs:
+    def build_expansion(self, p_s, p_c) -> PolynomialMapCoeffs:
         polys = structural_step_polys(0, self.sched, self.grads, p_s, p_c)
         polys = recentre_polys(polys, self.center, self.scale)
         coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-14)

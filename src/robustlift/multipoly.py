@@ -1,48 +1,26 @@
-"""Multivariate polynomial arithmetic in three flavors.
+"""Multivariate polynomial arithmetic.
 
-``MultiPoly``
-    dense exponent-grid coefficients for a handful of variables; exact
-    ring operations, substitution and (complex-capable) evaluation.  Used
-    for full expansions of update maps at moderate degree.
+``MultiPoly`` holds dense exponent-grid coefficients for a handful of
+variables: exact ring operations, substitution and (complex-capable)
+evaluation.  It carries the symbolic composition of update maps at
+moderate degree.
 
-``TruncatedPoly``
-    the same ring truncated at a total degree cap N ("jets").  Products
-    drop only orders > N, so all kept coefficients equal those of the
-    untruncated result; this extracts exact low-order Taylor data of deep
-    compositions whose full coefficient tensors are float-meaningless.
-
-``MajorantSeries``
-    univariate series with nonnegative coefficients m_l bounding some
-    degree-graded norm of a multivariate object, stored pre-scaled as
-    m_l * radius^l so that deep compositions cannot overflow.  Sums and
-    products of majorants majorize sums and products of the objects.
-
-A Chebyshev evaluation that works over any commutative ring (scalars,
-jets) plus sound Taylor-coefficient bounds of a Chebyshev series around
-an interior point (Bernstein-ellipse Cauchy bounds) live here too.
+``ring_chebval`` evaluates a Chebyshev series where the argument lives
+in any commutative ring (scalars or ``MultiPoly``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MultiPoly",
-    "TruncatedPoly",
-    "MajorantSeries",
     "ring_chebval",
-    "shifted_cheb_taylor_bounds",
 ]
 
 _MAX_GRID = 1 << 24  # coefficient-grid size guard
-
-
-def _degree_mask(shape: tuple[int, ...], cap: int) -> np.ndarray:
-    grids = np.indices(shape).sum(axis=0)
-    return grids <= cap
 
 
 class MultiPoly:
@@ -168,14 +146,6 @@ class MultiPoly:
             out[tuple(int(i) for i in idx)] = float(self.coeffs[idx])
         return out
 
-    def degree_block_l1(self) -> np.ndarray:
-        """l1 mass of each total-degree block (used to seed majorants)."""
-        degs = np.indices(self.coeffs.shape).sum(axis=0)
-        top = int(degs.max())
-        out = np.zeros(top + 1)
-        np.add.at(out, degs.ravel(), np.abs(self.coeffs).ravel())
-        return out
-
     # -- evaluation and substitution ------------------------------------
     def __call__(self, pts):
         """Evaluate at points of shape (..., d); real or complex."""
@@ -219,195 +189,12 @@ class MultiPoly:
         return out
 
 
-class TruncatedPoly:
-    """Jet: total-degree-capped polynomial; exact for kept orders."""
-
-    __slots__ = ("coeffs", "d", "cap", "_mask")
-
-    def __init__(self, coeffs: np.ndarray, cap: int):
-        coeffs = np.asarray(coeffs, dtype=float)
-        d = coeffs.ndim
-        full = np.zeros((cap + 1,) * d)
-        sl = tuple(slice(0, min(s, cap + 1)) for s in coeffs.shape)
-        full[sl] = coeffs[sl]
-        mask = _degree_mask(full.shape, cap)
-        full[~mask] = 0.0
-        self.coeffs = full
-        self.d = d
-        self.cap = cap
-        self._mask = mask
-
-    @classmethod
-    def constant(cls, d: int, value: float, cap: int) -> "TruncatedPoly":
-        c = np.zeros((cap + 1,) * d)
-        c[(0,) * d] = value
-        return cls(c, cap)
-
-    @classmethod
-    def variable(cls, d: int, i: int, cap: int, scale: float = 1.0,
-                 shift: float = 0.0) -> "TruncatedPoly":
-        c = np.zeros((cap + 1,) * d)
-        c[(0,) * d] = shift
-        c[tuple(1 if j == i else 0 for j in range(d))] = scale
-        return cls(c, cap)
-
-    def _wrap(self, arr: np.ndarray) -> "TruncatedPoly":
-        out = object.__new__(TruncatedPoly)
-        out.coeffs = arr
-        out.d = self.d
-        out.cap = self.cap
-        out._mask = self._mask
-        return out
-
-    def _promote(self, other) -> "TruncatedPoly":
-        if isinstance(other, TruncatedPoly):
-            return other
-        return TruncatedPoly.constant(self.d, float(other), self.cap)
-
-    def __add__(self, other):
-        other = self._promote(other)
-        return self._wrap(self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._wrap(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-self._promote(other))
-
-    def __rsub__(self, other):
-        return self._promote(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return self._wrap(self.coeffs * float(other))
-        n = self.cap + 1
-        out = np.zeros((n,) * self.d)
-        degs = np.indices(other.coeffs.shape).sum(axis=0)
-        for idx in zip(*np.nonzero((other.coeffs != 0.0) & (degs <= self.cap))):
-            c = other.coeffs[idx]
-            rem = self.cap - sum(idx)
-            src = tuple(slice(0, rem + 1 - 0) for _ in range(self.d))
-            dst = tuple(slice(i, i + rem + 1) for i in idx)
-            out[dst] += c * self.coeffs[src]
-        out[~self._mask] = 0.0
-        return self._wrap(out)
-
-    __rmul__ = __mul__
-
-    def constant_term(self) -> float:
-        return float(self.coeffs[(0,) * self.d])
-
-    def nonconstant_block_l1(self) -> np.ndarray:
-        """l1 mass per total degree with the constant removed; index = degree."""
-        degs = np.indices(self.coeffs.shape).sum(axis=0)
-        out = np.zeros(self.cap + 1)
-        np.add.at(out, degs.ravel(), np.abs(self.coeffs).ravel())
-        out[0] = 0.0
-        return out
-
-    def degree_slice(self, ell: int) -> dict[tuple[int, ...], float]:
-        out = {}
-        degs = np.indices(self.coeffs.shape).sum(axis=0)
-        for idx in zip(*np.nonzero((degs == ell) & (self.coeffs != 0.0))):
-            out[tuple(int(i) for i in idx)] = float(self.coeffs[idx])
-        return out
-
-
-@dataclass(frozen=True)
-class MajorantSeries:
-    """Nonnegative series sum_l m_l x^l stored as m_l * radius^l.
-
-    The representable content is the sequence of bounds m_l; the radius
-    only fixes the internal scaling so that products of deep compositions
-    stay inside float range whenever the series converges at `radius`.
-    """
-
-    scaled: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.scaled, dtype=float)
-        if (arr < 0).any():
-            raise ValueError("majorant coefficients must be nonnegative")
-        object.__setattr__(self, "scaled", arr)
-
-    @classmethod
-    def zero(cls, radius: float) -> "MajorantSeries":
-        return cls(np.zeros(1), radius)
-
-    @classmethod
-    def constant(cls, value: float, radius: float) -> "MajorantSeries":
-        return cls(np.array([abs(float(value))]), radius)
-
-    @classmethod
-    def from_bounds(cls, bounds: np.ndarray, radius: float) -> "MajorantSeries":
-        bounds = np.asarray(bounds, dtype=float)
-        scale = radius ** np.arange(len(bounds), dtype=float)
-        return cls(bounds * scale, radius)
-
-    def bounds(self) -> np.ndarray:
-        scale = self.radius ** np.arange(len(self.scaled), dtype=float)
-        return self.scaled / scale
-
-    def bound(self, ell: int) -> float:
-        if ell >= len(self.scaled):
-            return 0.0
-        return float(self.scaled[ell] / self.radius ** ell)
-
-    def _check(self, other: "MajorantSeries") -> None:
-        if other.radius != self.radius:
-            raise ValueError("majorant radii differ")
-
-    def __add__(self, other: "MajorantSeries") -> "MajorantSeries":
-        self._check(other)
-        n = max(len(self.scaled), len(other.scaled))
-        out = np.zeros(n)
-        out[: len(self.scaled)] += self.scaled
-        out[: len(other.scaled)] += other.scaled
-        return MajorantSeries(out, self.radius)
-
-    def __mul__(self, other):
-        if isinstance(other, MajorantSeries):
-            self._check(other)
-            return MajorantSeries(np.convolve(self.scaled, other.scaled), self.radius)
-        return MajorantSeries(self.scaled * abs(float(other)), self.radius)
-
-    __rmul__ = __mul__
-
-    def shift_up(self) -> "MajorantSeries":
-        """Multiply by x (degree shift), used when a factor contributes one order."""
-        return MajorantSeries(np.concatenate([[0.0], self.scaled * self.radius]), self.radius)
-
-    def truncate(self, length: int) -> "MajorantSeries":
-        # only sound for consumers that ignore orders >= length
-        return MajorantSeries(self.scaled[:length].copy(), self.radius)
-
-    def value_at_radius(self) -> float:
-        return float(self.scaled.sum())
-
-    def value(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x / self.radius, self.scaled))
-
-    def compose_outer(self, taylor_bounds: np.ndarray) -> "MajorantSeries":
-        """Majorant of sum_k tau_k h^k with h majorized by self (h(0) term included).
-
-        Horner over the series ring; taylor_bounds must be nonnegative.
-        """
-        taus = np.asarray(taylor_bounds, dtype=float)
-        out = MajorantSeries.constant(taus[-1], self.radius)
-        for k in range(len(taus) - 2, -1, -1):
-            out = out * self + MajorantSeries.constant(taus[k], self.radius)
-        return out
-
-
 # ----------------------------------------------------------------------
 # ring-generic Chebyshev evaluation (mirrors numpy's Clenshaw)
 
 def ring_chebval(x, coeffs: np.ndarray):
     """Clenshaw evaluation of a Chebyshev series where x lives in any
-    commutative ring with +, -, * and scalar mixing (jets, MultiPoly)."""
+    commutative ring with +, -, * and scalar mixing (MultiPoly)."""
     c = np.asarray(coeffs, dtype=float)
     if len(c) == 1:
         return x * 0.0 + c[0]
@@ -421,55 +208,3 @@ def ring_chebval(x, coeffs: np.ndarray):
         c0 = c[-i] - c1
         c1 = tmp + c1 * x2
     return c0 + c1 * x
-
-
-# ----------------------------------------------------------------------
-# Taylor-coefficient bounds of a Chebyshev series around a point
-
-def _ellipse_param_max(z0: float, rc: float, halfwidth: float, n_samples: int = 720) -> float:
-    """Sound max of the Bernstein-ellipse parameter over the disk |z - z0| <= rc.
-
-    rho(xi) = |xi + sqrt(xi^2 - 1)| with the branch of modulus >= 1, xi on
-    the scaled disk boundary; a sampled max is inflated by a local
-    Lipschitz margin."""
-    theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    xi = (z0 + rc * np.exp(1j * theta)) / halfwidth
-    root = np.sqrt(xi * xi - 1.0)
-    # xi +/- root have reciprocal moduli; the outside branch is the larger
-    rho = np.maximum(np.abs(xi + root), np.abs(xi - root))
-    rho = np.maximum(rho, 1.0)
-    lip = 1.0 + np.abs(xi) / np.maximum(np.abs(root), 1e-12)
-    gap = (2.0 * np.pi * rc / halfwidth) / n_samples
-    return float(np.max(rho + 0.75 * gap * lip))
-
-
-def shifted_cheb_taylor_bounds(
-    full_coeffs: np.ndarray,
-    halfwidth: float,
-    z0: float,
-    kmax: int,
-    rc_grid: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sound bounds tau_k >= |k-th Taylor coefficient of P at z0|.
-
-    Cauchy: tau_k <= M(rc)/rc^k with M(rc) <= sum_j |c_j| rho_max^j, where
-    rho_max bounds the Bernstein-ellipse parameter over the disk of radius
-    rc around z0.  The reported bound takes the min over a radius grid.
-    """
-    c = np.abs(np.asarray(full_coeffs, dtype=float))
-    j = np.arange(len(c), dtype=float)
-    if rc_grid is None:
-        rc_grid = halfwidth * np.geomspace(1e-4, 0.9, 24)
-    taus = np.full(kmax + 1, np.inf)
-    for rc in rc_grid:
-        rho = _ellipse_param_max(z0, float(rc), halfwidth)
-        with np.errstate(over="ignore"):
-            m = float(np.sum(c * rho**j))
-        if not np.isfinite(m):
-            continue
-        with np.errstate(over="ignore", divide="ignore"):
-            cand = m / float(rc) ** np.arange(kmax + 1, dtype=float)
-        taus = np.minimum(taus, cand)
-    if not np.isfinite(taus).all():
-        raise FloatingPointError("no usable Cauchy radius for Taylor bounds")
-    return taus

@@ -30,7 +30,6 @@ __all__ = [
     "extract_terminal",
     "TerminalBound",
     "terminal_error_bound",
-    "normalized_gap_bound",
     "InfeasibleBudgetError",
     "PlanInputs",
     "BudgetLine",
@@ -90,13 +89,6 @@ def terminal_error_bound(eps_state: float, p_star: float) -> TerminalBound:
     gate = eps_state <= root / 2.0
     bound = (2.0 / root) * eps_state if gate else math.inf
     return TerminalBound(gate, bound, eps_state, p_star)
-
-
-def normalized_gap_bound(norm_a: float, diff: float) -> float:
-    """||a/||a|| - b/||b|||| <= 2 ||a - b|| / ||a||."""
-    if norm_a <= 0.0:
-        raise ValueError("need a nonzero reference vector")
-    return 2.0 * diff / norm_a
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +324,10 @@ def _achieved_delta(poly, labels) -> float | None:
 
 
 def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
-    mat = system.matrix_normalized.tocsr()
+    """Sampled rows of `row_access` against the rows of M times 1 / (1 + rho):
+    the same IEEE products `row_access` takes, so the check is bit-exact."""
+    mat = system.matrix
+    inv = system.inv_scale
     dim = system.block_dim
     total = (system.t_window + 1) * dim
     rows = rng.choice(total, size=min(samples, total), replace=False)
@@ -341,7 +336,7 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
         got = horizon.row_access(system, t, r)
         cols = mat.indices[mat.indptr[gi]: mat.indptr[gi + 1]]
         vals = mat.data[mat.indptr[gi]: mat.indptr[gi + 1]]
-        ref = sorted(zip((int(c) for c in cols), (float(v) for v in vals)))
+        ref = sorted(zip((int(c) for c in cols), (float(v) * inv for v in vals)))
         if [(c, v) for c, v in got] != ref:
             return False
     return True
@@ -379,11 +374,9 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
         probe_states = instance.exact_states()
     dev_probe = _deviation(probe_states, center, scale)
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
-    probe_exp = instance.build_expansion(ps_probe, pc_probe, n_probe)
-    probe_major = carleman.majorant_and_contractivity(probe_exp, n_probe)
-    step_probe = carleman.build_lifted_step(probe_exp.coeffs
-                                            if hasattr(probe_exp, "coeffs")
-                                            else probe_exp, n_probe)
+    probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
+    probe_major = carleman.majorant_and_contractivity(probe_coeffs, n_probe)
+    step_probe = carleman.build_lifted_step(probe_coeffs, n_probe)
     y0_probe = carleman.lift_state(dev_probe[0], n_probe)
     run_probe = carleman.run_truncated_recurrence(step_probe, y0_probe, t_window)
     stacked_probe = run_probe.stacked
@@ -430,28 +423,29 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     vbar = float(max(np.linalg.norm(dev_model, axis=1).max(),
                      np.linalg.norm(dev_exact, axis=1).max()))
 
-    # ---- cutoff selection by direct tails
+    # ---- cutoff selection by direct tails; only the cutoff varies, so the
+    # final step map is expanded once
+    coeffs = instance.build_expansion(p_s, p_c)
+    lam = getattr(instance, "lam", None)
     chosen = None
     for n_levels in range(2, n_max + 1):
-        exp = instance.build_expansion(p_s, p_c, n_levels)
-        major = carleman.majorant_and_contractivity(exp, n_levels)
+        major = carleman.majorant_and_contractivity(coeffs, n_levels)
         if not major.h1_pass:
-            chosen = (n_levels, exp, major, None)
+            chosen = (n_levels, major, None)
             continue
         tail = carleman.tail_constant_and_cutoff(
-            exp, n_levels, vbar, t_window, major.rho, plan.gamma_target,
-            lam=getattr(instance, "lam", None))
-        chosen = (n_levels, exp, major, tail)
+            coeffs, n_levels, vbar, t_window, major.rho, plan.gamma_target,
+            lam=lam)
+        chosen = (n_levels, major, tail)
         if tail.gamma_n <= plan.gamma_target:
             break
-    n_levels, exp, major, tail = chosen
+    n_levels, major, tail = chosen
     if tail is None:
         tail = carleman.tail_constant_and_cutoff(
-            exp, n_levels, vbar, t_window, min(major.rho, 0.999999),
-            plan.gamma_target, lam=getattr(instance, "lam", None))
+            coeffs, n_levels, vbar, t_window, min(major.rho, 0.999999),
+            plan.gamma_target, lam=lam)
 
     # ---- lift, stack, solve
-    coeffs = exp.coeffs if hasattr(exp, "coeffs") else exp
     step = carleman.build_lifted_step(coeffs, n_levels)
     # tight targets can escalate the lift far past what this host can stack;
     # drop levels until the assembled matrix fits, the tail hypothesis then
@@ -459,12 +453,10 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     while (n_levels > 2 and
            (t_window + 1) * (step.b_matrix.nnz + step.dim) > max_stacked_nnz):
         n_levels -= 1
-        exp = instance.build_expansion(p_s, p_c, n_levels)
-        major = carleman.majorant_and_contractivity(exp, n_levels)
+        major = carleman.majorant_and_contractivity(coeffs, n_levels)
         tail = carleman.tail_constant_and_cutoff(
-            exp, n_levels, vbar, t_window, min(major.rho, 0.999999),
-            plan.gamma_target, lam=getattr(instance, "lam", None))
-        coeffs = exp.coeffs if hasattr(exp, "coeffs") else exp
+            coeffs, n_levels, vbar, t_window, min(major.rho, 0.999999),
+            plan.gamma_target, lam=lam)
         step = carleman.build_lifted_step(coeffs, n_levels)
     y0 = carleman.lift_state(dev_model[0], n_levels)
     beta0 = float(np.linalg.norm(y0))
@@ -520,7 +512,7 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
         "H3_access_model": {
             "pass": bool(_row_access_spot_check(system, rng)),
             "s_row_bound": sparsity.s_row,
-            "max_row_nnz": int(np.diff(system.matrix_normalized.indptr).max())},
+            "max_row_nnz": int(np.diff(system.matrix.indptr).max())},
         "H4_initial_weight": {
             "pass": bool(beta0 > 0.0),
             "beta0": beta0, "probe_value": beta0_probe},

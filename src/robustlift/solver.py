@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .carleman import run_truncated_recurrence
 from .horizon import HorizonSystem
 
 __all__ = [
@@ -48,15 +49,10 @@ class ForwardResult:
 
 def solve_forward(system: HorizonSystem) -> ForwardResult:
     """Forward substitution through the recurrence, then a residual check."""
-    dim = system.block_dim
-    t_window = system.t_window
-    y = np.empty((t_window + 1, dim))
-    y[0] = system.rhs[:dim]
-    for t in range(t_window):
-        y[t + 1] = system.steps[t].apply(y[t])
-    stacked = y.reshape(-1)
-    return ForwardResult(y, stacked,
-                         _relative_residual(system.matvec(stacked), system.rhs))
+    run = run_truncated_recurrence(system.steps, system.rhs[:system.block_dim],
+                                   system.t_window)
+    return ForwardResult(run.y, run.stacked,
+                         _relative_residual(system.matvec(run.stacked), system.rhs))
 
 
 @dataclass(frozen=True)

@@ -8,22 +8,18 @@ from scipy import sparse
 
 from robustlift.carleman import (
     LiftedStep,
-    SegmentSpec,
     TailReport,
     build_lifted_step,
-    carleman_block,
     delta_dim,
     design_cutoff,
     level_offsets,
     lift_lipschitz,
     lift_state,
-    lifted_model_error,
     majorant_and_contractivity,
     run_truncated_recurrence,
-    segmented_truncation,
     tail_constant_and_cutoff,
 )
-from robustlift.dynamics import PolynomialMapCoeffs, TruncatedMapExpansion
+from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.multipoly import MultiPoly
 
 RNG = np.random.default_rng(23)
@@ -38,6 +34,20 @@ def scalar_map(*mono_coeffs):
         acc = acc + c * power
         power = power * x
     return PolynomialMapCoeffs.from_coordinate_polys([acc])
+
+
+def transfer_block(coeffs, j, s):
+    """K_{j,s} read off the lifted step truncated at max(j, s).
+
+    s = 0 gives the constant column K_{j,0} as a vector; s >= 1 gives the
+    (j, s) block of B, located by `level_offsets`.
+    """
+    n_levels = max(j, s)
+    step = build_lifted_step(coeffs, n_levels)
+    off = level_offsets(coeffs.d, n_levels)
+    if s == 0:
+        return step.c_vector[off[j - 1]:off[j]]
+    return step.b_matrix[off[j - 1]:off[j], off[s - 1]:off[s]]
 
 
 def random_quadratic(d):
@@ -94,11 +104,11 @@ class TestTransferBlocks:
         x1 = MultiPoly.variable(2, 1)
         polys = [a[0, 0] * x0 + a[0, 1] * x1, a[1, 0] * x0 + a[1, 1] * x1]
         coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys)
-        np.testing.assert_allclose(carleman_block(coeffs, 1, 1).toarray(), a,
+        np.testing.assert_allclose(transfer_block(coeffs, 1, 1).toarray(), a,
                                    atol=1e-14)
-        np.testing.assert_allclose(carleman_block(coeffs, 2, 2).toarray(),
+        np.testing.assert_allclose(transfer_block(coeffs, 2, 2).toarray(),
                                    np.kron(a, a), atol=1e-14)
-        assert carleman_block(coeffs, 2, 1).nnz == 0
+        assert transfer_block(coeffs, 2, 1).nnz == 0
 
     def test_affine_cross_block(self):
         # constant term couples levels: K_{2,1} = kron(b, A) + kron(A, b)
@@ -110,12 +120,14 @@ class TestTransferBlocks:
                  b[1] + a[1, 0] * x0 + a[1, 1] * x1]
         coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys)
         expect = np.kron(b[:, None], a) + np.kron(a, b[:, None])
-        np.testing.assert_allclose(carleman_block(coeffs, 2, 1).toarray(),
+        np.testing.assert_allclose(transfer_block(coeffs, 2, 1).toarray(),
                                    expect, atol=1e-14)
 
     def test_exact_level_recurrence(self):
         # kron power of the image == sum over source levels, no truncation
         coeffs = random_quadratic(2)
+        blocks = {j: [transfer_block(coeffs, j, s) for s in range(2 * j + 1)]
+                  for j in range(1, 4)}
         for _ in range(5):
             v = RNG.uniform(-0.5, 0.5, 2)
             img = coeffs.evaluate(v)
@@ -123,16 +135,16 @@ class TestTransferBlocks:
                 target = img.copy()
                 for _ in range(j - 1):
                     target = np.kron(target, img)
-                acc = carleman_block(coeffs, j, 0).toarray().ravel().copy()
+                acc = blocks[j][0].copy()
                 power = np.array([1.0])
                 for s in range(1, 2 * j + 1):
                     power = np.kron(power, v) if s > 1 else v
-                    acc = acc + carleman_block(coeffs, j, s) @ power
+                    acc = acc + blocks[j][s] @ power
                 np.testing.assert_allclose(acc, target, atol=1e-10)
 
     def test_block_shapes(self):
         coeffs = random_quadratic(2)
-        blk = carleman_block(coeffs, 3, 4)
+        blk = transfer_block(coeffs, 3, 4)
         assert blk.shape == (8, 16)
 
 
@@ -265,16 +277,6 @@ class TestMajorant:
         assert not majorant_and_contractivity(scalar_map(1.2), 2).h1_pass
         assert majorant_and_contractivity(scalar_map(0.8), 2).h1_pass
 
-    def test_capped_expansion_guard(self):
-        # exact coefficients stop below the requested level count: refuse
-        # to treat unknown degrees as zeros
-        coeffs = scalar_map(0.5)
-        exp = TruncatedMapExpansion(coeffs=coeffs, cap=1, degree=5,
-                                    tail_value=lambda x: 0.0)
-        with pytest.raises(ValueError):
-            majorant_and_contractivity(exp, 3)
-
-
 class TestTails:
     def test_linear_map_has_empty_tail(self):
         rep = tail_constant_and_cutoff(scalar_map(0.5), 3, 0.9, 10, 0.5, 1e-3)
@@ -379,27 +381,3 @@ class TestLipschitz:
                                  - lift_state(b, n_levels))
             assert gap <= lip * np.linalg.norm(a - b) + 1e-12
 
-    def test_model_error_is_product(self):
-        assert lifted_model_error(lift_lipschitz(2, 0.5), 0.01) == \
-            pytest.approx(math.sqrt(2.0) * 0.01)
-
-
-class TestSegmented:
-    def test_single_segment_is_global(self):
-        rep = segmented_truncation([SegmentSpec(20, 1e-3, 0.5)])
-        assert rep.global_bound == pytest.approx(
-            math.sqrt(21) * 1e-3 / 0.5, rel=1e-12)
-
-    def test_two_equal_segments_rss(self):
-        seg = SegmentSpec(10, 1e-3, 0.4)
-        rep = segmented_truncation([seg, seg])
-        assert rep.global_bound**2 == pytest.approx(
-            2.0 * rep.per_segment[0] ** 2, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SegmentSpec(0, 1e-3, 0.5)
-        with pytest.raises(ValueError):
-            SegmentSpec(5, 1e-3, 1.0)
-        with pytest.raises(ValueError):
-            segmented_truncation([])

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import robustlift.readout
+from robustlift.carleman import lift_state
 from robustlift.cli import ConfigError, load_config, main
+from robustlift.instances import certify_instance
 from robustlift.readout import InfeasibleBudgetError
 
 
@@ -179,6 +181,22 @@ class TestCommands:
         assert report["residual"] <= 1e-12
         sol = np.load(outdir / "solution.npy")
         assert sol.shape == (report["dim"],)
+
+    def test_empty_window_assemble_and_solve(self, tmp_path):
+        # T = 0: the stacked system is the initial lift alone
+        cfg = write_config(tmp_path, "[instance]\nt_window = 0\n")
+        code, outdir = run(["assemble", "--config", cfg], tmp_path, "asm")
+        assert code == 0
+        layout = json.loads((outdir / "horizon_layout.json").read_text())
+        assert layout["t_window"] == 0
+        assert layout["dim"] == layout["block_dim"]
+
+        code, outdir = run(["solve", "--config", cfg], tmp_path, "slv")
+        assert code == 0
+        inst = certify_instance(0)
+        y0 = lift_state((inst.v0.vector - inst.center) * inst.scale, 4)
+        np.testing.assert_allclose(np.load(outdir / "solution.npy"), y0,
+                                   rtol=1e-15, atol=0.0)
 
     def test_expand_step_writes_coefficients(self, tmp_path):
         cfg = write_config(tmp_path, "[instance]\nt_window = 5\n")

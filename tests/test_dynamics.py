@@ -17,7 +17,6 @@ from robustlift.dynamics import (
     StepSchedule,
     base_step_error_bound,
     compose_schedule,
-    dump_trajectory,
     exact_outer_step,
     expand_polynomial_map,
     folded_poly_step,
@@ -425,16 +424,6 @@ class TestStateAndSchedule:
                          np.array([1.0]))
         with pytest.raises(ValueError):
             StepSchedule.uniform(3, eps_ball=0.1, eta_delta=-0.05, eta_u=0.1)
-
-    def test_dump_trajectory(self, tmp_path):
-        states = [CoupledState(np.array([0.1]), np.array([0.2, 0.3])),
-                  CoupledState(np.array([0.0]), np.array([0.25, 0.28]))]
-        path = tmp_path / "traj.csv"
-        dump_trajectory(str(path), states)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,delta_0,u_0,u_1"
-        assert lines[1].startswith("0,0.1,")
-        assert len(lines) == 3
 
     def test_affine_gradient_contract(self):
         grads = toy_gradient()

@@ -17,13 +17,11 @@ from robustlift.carleman import (
 from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.horizon import (
     assemble_horizon,
-    composition_count,
     condition_bounds,
     hockey_stick_total,
     row_access,
     save_matrix_market,
     sparsity_bounds,
-    uniform_sparsity_bound,
 )
 from robustlift.multipoly import MultiPoly
 
@@ -174,19 +172,6 @@ class TestSparsity:
             direct = sum(math.comb(s + j - 1, j - 1) for s in range(1, n + 1))
             assert hockey_stick_total(j, n) == direct
 
-    def test_uniform_bound_example(self):
-        assert uniform_sparsity_bound(1, 2) == 5
-        assert hockey_stick_total(1, 2) == 2
-        assert hockey_stick_total(2, 2) == 5
-
-    def test_composition_count_brute_force(self):
-        for j, s, degree in itertools.product((1, 2, 3), (0, 1, 2, 3, 4),
-                                              (1, 2)):
-            direct = sum(
-                1 for word in itertools.product(range(degree + 1), repeat=j)
-                if sum(word) == s)
-            assert composition_count(j, s, degree) == direct
-
     def test_stacked_rows_within_bound(self):
         coeffs, step, system = toy_system(t_window=5)
         report = sparsity_bounds(coeffs.row_sparsities(), system.n_levels)
@@ -202,12 +187,6 @@ class TestSparsity:
             t = int(RNG.integers(0, system.t_window + 1))
             r = int(RNG.integers(0, dim))
             assert len(row_access(system, t, r)) <= report.s_row
-
-    def test_uniform_dominates_structured(self):
-        coeffs, _, _ = toy_system()
-        spars = coeffs.row_sparsities()
-        report = sparsity_bounds(spars, 3, s_star=max(spars))
-        assert report.uniform_bound >= report.s_b
 
 
 class TestConditioning:

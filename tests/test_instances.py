@@ -34,12 +34,12 @@ class TestCertifyInstance:
 
     def test_expansion_is_affine(self):
         inst = certify_instance(10)
-        coeffs = inst.build_expansion(None, None, 4)
+        coeffs = inst.build_expansion(None, None)
         assert coeffs.degree == 1
 
     def test_expansion_contracts(self):
         inst = certify_instance(10)
-        coeffs = inst.build_expansion(None, None, 4)
+        coeffs = inst.build_expansion(None, None)
         assert majorant_and_contractivity(coeffs, 4).rho < 1.0
 
     def test_scaled_deviations_stay_in_unit_ball(self):
@@ -53,7 +53,7 @@ class TestCertifyInstance:
         object.__setattr__(inst.sched, "eta_u",
                            np.array([0.1, 0.2, 0.1]))
         with pytest.raises(ValueError):
-            inst.build_expansion(None, None, 3)
+            inst.build_expansion(None, None)
 
     def test_trajectory_defined_by_outer_step(self):
         inst = certify_instance(5)
@@ -106,7 +106,7 @@ class TestFoldedDemo:
         inst.max_expand_degree = 10
         p_s, p_c = inst.design_polys(0.05, 0.05)
         with pytest.raises(ValueError):
-            inst.build_expansion(p_s, p_c, 4)
+            inst.build_expansion(p_s, p_c)
 
 
 class TestRandomFamilies:

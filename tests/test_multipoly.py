@@ -1,17 +1,10 @@
-"""Ring arithmetic: dense exponent grids, jets, majorant series."""
+"""Ring arithmetic on dense exponent grids and ring-generic Clenshaw."""
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustlift.multipoly import (
-    MajorantSeries,
-    MultiPoly,
-    TruncatedPoly,
-    ring_chebval,
-    shifted_cheb_taylor_bounds,
-)
+from robustlift.multipoly import MultiPoly, ring_chebval
 
 RNG = np.random.default_rng(7)
 
@@ -64,52 +57,6 @@ class TestMultiPoly:
         np.testing.assert_allclose(p(np.real(z)), np.real(p(np.real(z))))
 
 
-class TestTruncatedPoly:
-    def test_kept_coefficients_are_exact(self):
-        # jet product agrees with the full ring below the cap
-        cap = 3
-        a = random_poly(2, 2, RNG)
-        b = random_poly(2, 2, RNG)
-        ja = TruncatedPoly(a.coeffs, cap)
-        jb = TruncatedPoly(b.coeffs, cap)
-        full = a * b
-        jet = ja * jb
-        for ell in range(cap + 1):
-            assert jet.degree_slice(ell) == pytest.approx(full.degree_slice(ell))
-
-    def test_orders_above_cap_dropped(self):
-        x = TruncatedPoly.variable(1, 0, cap=2)
-        cube = x * x * x
-        assert all(not cube.degree_slice(ell) for ell in range(3))
-
-    def test_constant_term(self):
-        j = TruncatedPoly.constant(2, 4.5, cap=3)
-        assert j.constant_term() == 4.5
-
-
-class TestMajorantSeries:
-    def test_sum_and_product_majorize(self):
-        r = 0.8
-        a = MajorantSeries.from_bounds(np.array([0.2, 0.5, 0.1]), r)
-        b = MajorantSeries.from_bounds(np.array([0.3, 0.4]), r)
-        s = (a + b).bounds()
-        assert s[0] == pytest.approx(0.5)
-        assert s[1] == pytest.approx(0.9)
-        p = (a * b).bounds()
-        # convolution of the bound sequences
-        assert p[0] == pytest.approx(0.2 * 0.3)
-        assert p[1] == pytest.approx(0.2 * 0.4 + 0.5 * 0.3)
-
-    def test_value_at_radius(self):
-        a = MajorantSeries.from_bounds(np.array([1.0, 2.0, 4.0]), 0.5)
-        assert a.value_at_radius() == pytest.approx(1.0 + 1.0 + 1.0)
-        assert a.value(0.25) == pytest.approx(1.0 + 0.5 + 0.25)
-
-    def test_negative_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            MajorantSeries.from_bounds(np.array([0.1, -0.2]), 0.5)
-
-
 class TestRingChebval:
     def test_matches_numpy_on_scalars(self):
         coeffs = RNG.standard_normal(7)
@@ -133,24 +80,3 @@ class TestRingChebval:
         x = MultiPoly.variable(1, 0)
         assert ring_chebval(x, coeffs).total_degree(tol=1e-9) == n
 
-
-class TestShiftedTaylorBounds:
-    def exact_taylor(self, full_coeffs, halfwidth, z0, kmax):
-        # expand P(z0 + s) in s by monomial shift
-        mono = C.cheb2poly(full_coeffs)
-        # P(x) = sum mono_j (x / halfwidth)^j; shift x = z0 + s
-        poly = np.polynomial.polynomial.Polynomial(mono)
-        shifted = poly(np.polynomial.polynomial.Polynomial(
-            [z0 / halfwidth, 1.0 / halfwidth]))
-        out = shifted.coef
-        return np.pad(out, (0, max(0, kmax + 1 - len(out))))[: kmax + 1]
-
-    def test_bounds_dominate_exact_coefficients(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            full = rng.standard_normal(9)
-            hw = float(rng.uniform(0.5, 3.0))
-            z0 = float(rng.uniform(-0.5, 0.5)) * hw
-            taus = shifted_cheb_taylor_bounds(full, hw, z0, kmax=8)
-            exact = self.exact_taylor(full, hw, z0, kmax=8)
-            assert (np.abs(exact) <= taus * (1 + 1e-9) + 1e-12).all()

@@ -6,13 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from robustlift.instances import certify_instance, folded_demo_instance
+from robustlift.carleman import build_lifted_step, lift_state
+from robustlift.horizon import HorizonSystem, assemble_horizon
+from robustlift.instances import (
+    FoldedInstance,
+    certify_instance,
+    folded_demo_instance,
+    random_coeff_map,
+)
 from robustlift.readout import (
     BudgetLine,
     InfeasibleBudgetError,
     PlanInputs,
+    _row_access_spot_check,
     extract_terminal,
-    normalized_gap_bound,
     plan_budgets,
     run_pipeline_certificate,
     terminal_error_bound,
@@ -89,39 +96,6 @@ class TestTerminalBound:
             terminal_error_bound(0.01, 1.5)
         with pytest.raises(ValueError):
             terminal_error_bound(-0.01, 0.5)
-
-
-class TestNormalizedGap:
-    def test_property_on_random_pairs(self):
-        for _ in range(500):
-            dim = int(RNG.integers(1, 8))
-            a = RNG.standard_normal(dim)
-            while np.linalg.norm(a) < 1e-6:
-                a = RNG.standard_normal(dim)
-            b = a + RNG.standard_normal(dim) * RNG.uniform(0, 2)
-            if np.linalg.norm(b) == 0:
-                continue
-            lhs = np.linalg.norm(a / np.linalg.norm(a)
-                                 - b / np.linalg.norm(b))
-            rhs = normalized_gap_bound(float(np.linalg.norm(a)),
-                                       float(np.linalg.norm(a - b)))
-            assert lhs <= rhs + 1e-12
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_gap_bound(0.0, 0.1)
-
-    def test_perturbed_solve_within_bound(self):
-        # the lemma applied the way the pipeline uses it: solution vs a
-        # perturbed copy at a known error norm
-        x = RNG.standard_normal(40)
-        nx = float(np.linalg.norm(x))
-        for _ in range(100):
-            e = RNG.standard_normal(40)
-            e *= RNG.uniform(0, 0.05) * nx / np.linalg.norm(e)
-            y = x + e
-            gap = np.linalg.norm(x / nx - y / np.linalg.norm(y))
-            assert gap <= normalized_gap_bound(nx, float(np.linalg.norm(e)))
 
 
 class TestPlanBudgets:
@@ -254,3 +228,47 @@ class TestPipelineCertificate:
             u = u - 0.1 * (0.5 * 0.02 + 3.0 * u - 0.55)
         assert cert.terminal["reconstructed_u"][0] == pytest.approx(
             u, abs=1e-10)
+
+    def test_final_expansion_built_once(self, monkeypatch):
+        # the cutoff loop varies only N: one expansion for the probe, one
+        # for the final phase
+        calls = []
+        build = FoldedInstance.build_expansion
+
+        def counted(self, *args):
+            calls.append(args)
+            return build(self, *args)
+
+        monkeypatch.setattr(FoldedInstance, "build_expansion", counted)
+        cert = run_pipeline_certificate(folded_demo_instance(6), 0.3,
+                                        mode="state")
+        assert cert.n_levels == 5
+        assert len(calls) == 2
+
+    def test_one_stacked_csr_per_certificate(self, monkeypatch):
+        # the dense SVD and the H3 spot check share the unnormalized CSR
+        calls = []
+        stack = HorizonSystem._stacked_csr
+
+        def counted(self):
+            calls.append(self.dim)
+            return stack(self)
+
+        monkeypatch.setattr(HorizonSystem, "_stacked_csr", counted)
+        cert = run_pipeline_certificate(certify_instance(50), 0.05)
+        assert cert.measurements["kappa_measured"] is not None
+        assert calls == [cert.measurements["dim"]]
+
+
+class TestRowAccessSpotCheck:
+    def test_one_ulp_change_is_caught(self):
+        coeffs = random_coeff_map(np.random.default_rng(5), 2, 2)
+        step = build_lifted_step(coeffs, 2)
+        y0 = lift_state(np.array([0.1, -0.2]), 2)
+        system = assemble_horizon([step] * 5, y0, 0.5)
+        assert system.dim <= 200  # every row is sampled
+        assert system.matrix.nnz and system.matrix_normalized.nnz
+        assert _row_access_spot_check(system, np.random.default_rng(0))
+        b = step.b_matrix
+        b.data[:] = np.nextafter(b.data, np.inf)
+        assert not _row_access_spot_check(system, np.random.default_rng(0))
