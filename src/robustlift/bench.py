@@ -25,7 +25,7 @@ import numpy as np
 
 from . import carleman, horizon, solver
 from .dynamics import CoupledState, folded_poly_step, one_step_delta_bound
-from .readout import _CLIP_ACC_LABELS, _SIGN_ACC_LABELS, _achieved_delta
+from .polyapprox import achieved_delta
 
 __all__ = [
     "BenchDataError",
@@ -463,8 +463,8 @@ def compare_reduction(instance, delta_s: float, delta_c: float,
         one = folded_poly_step(start, t, sched, grads, p_s, p_c)
         step_err = max(step_err, float(
             np.linalg.norm(one.delta - exact[t + 1, :m])))
-    d_s = max(delta_s, _achieved_delta(p_s, _SIGN_ACC_LABELS) or 0.0)
-    d_c = max(delta_c, _achieved_delta(p_c, _CLIP_ACC_LABELS) or 0.0)
+    d_s = max(delta_s, achieved_delta(p_s) or 0.0)
+    d_c = max(delta_c, achieved_delta(p_c) or 0.0)
     step_bound = one_step_delta_bound(m, sched.eta_delta_max, d_s,
                                       sched.eps_ball, d_c)
 

@@ -9,8 +9,11 @@ polynomial map v -> sum_l Q_l v^(x l).
 
 Coefficient tensors use symmetric placement: a monomial's coefficient is
 spread equally over all ordered index words with that exponent content.
-Operator norms of the resulting Q_l follow exactly from a d x d Gram
-matrix, never from materializing d^l columns.
+Placement goes by content: column k of Q_l spells the word of its l
+base-d digits, its content is the column of the same digits sorted, and
+every column whose content is the monomial's exponent beta holds
+coeff / multiplicity(beta).  Operator norms of the resulting Q_l follow
+exactly from a d x d Gram matrix, never from materializing d^l columns.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "compose_schedule",
     "schedule_error_constant",
     "one_step_delta_bound",
-    "base_step_error_bound",
     "scaled_base_step_error_bound",
 ]
 
@@ -269,18 +271,29 @@ class StepMonitor:
         }
 
 
-def _folded_vector_step(vec, m, t, sched, grads, p_s: OddPolynomial,
-                        p_c: OddPolynomial, monitor: StepMonitor | None):
+def _attack_substep(vec, m, eta_delta, alpha, eps_ball, grads,
+                    p_s: OddPolynomial, p_c: OddPolynomial,
+                    monitor: StepMonitor | None):
+    """Surrogate sign step on delta, then the surrogate clamp to the ball."""
     delta, u = vec[..., :m], vec[..., m:]
-    w = grads.g_delta(vec) / sched.alpha[t]
-    signed = p_s(w)
-    z = (delta + sched.eta_delta[t] * signed) / sched.eps_ball
+    w = grads.g_delta(vec) / alpha
+    z = (delta + eta_delta * p_s(w)) / eps_ball
     if monitor is not None:
         monitor.record(np.real(w), np.real(z))
-    d_plus = sched.eps_ball * p_c(z)
-    inner = np.concatenate([d_plus, u], axis=-1)
-    u_plus = u - sched.eta_u[t] * grads.g_u(inner)
-    return np.concatenate([d_plus, u_plus], axis=-1)
+    return np.concatenate([eps_ball * p_c(z), u], axis=-1)
+
+
+def _learner_substep(vec, m, eta_u, grads):
+    """Descent on u at the current perturbation."""
+    delta, u = vec[..., :m], vec[..., m:]
+    return np.concatenate([delta, u - eta_u * grads.g_u(vec)], axis=-1)
+
+
+def _folded_vector_step(vec, m, t, sched, grads, p_s: OddPolynomial,
+                        p_c: OddPolynomial, monitor: StepMonitor | None):
+    attacked = _attack_substep(vec, m, sched.eta_delta[t], sched.alpha[t],
+                               sched.eps_ball, grads, p_s, p_c, monitor)
+    return _learner_substep(attacked, m, sched.eta_u[t], grads)
 
 
 def folded_poly_step(v: CoupledState, t: int, sched: StepSchedule, grads,
@@ -341,17 +354,21 @@ def _multiplicity(beta: tuple[int, ...]) -> int:
     return out
 
 
-def _distinct_words(beta: tuple[int, ...]):
-    letters = []
-    for i, b in enumerate(beta):
-        letters.extend([i] * b)
-    seen = set()
-    import itertools
+def _content_index(d: int, ell: int) -> np.ndarray:
+    """Exponent content of each of the d^ell columns of Q_ell.
 
-    for word in itertools.permutations(letters):
-        if word not in seen:
-            seen.add(word)
-            yield word
+    A content is named by the column of its sorted word, so two columns
+    share an entry exactly when one word permutes the other.
+    """
+    weights = d ** np.arange(ell - 1, -1, -1, dtype=np.int64)
+    digits = np.arange(d**ell, dtype=np.int64)[:, None] // weights % d
+    return np.sort(digits, axis=1) @ weights
+
+
+def _content_column(beta: tuple[int, ...]) -> int:
+    """Column of the sorted word with exponent content beta."""
+    d, ell = len(beta), sum(beta)
+    return int(np.repeat(np.arange(d), beta) @ d ** np.arange(ell - 1, -1, -1))
 
 
 class PolynomialMapCoeffs:
@@ -446,27 +463,23 @@ class PolynomialMapCoeffs:
 
     def as_matrix(self, ell: int, max_entries: int = 5_000_000) -> sparse.csr_matrix:
         """Q_ell as an explicit d x d^ell sparse matrix (small ell only)."""
-        cols = self.d**ell
         by_beta = self.terms.get(ell, {})
-        rows_idx, cols_idx, vals = [], [], []
-        budget = 0
-        for beta, coeff in by_beta.items():
-            mult = _multiplicity(beta)
-            nz = int(np.count_nonzero(coeff))
-            budget += mult * nz
-            if budget > max_entries:
-                raise MemoryError(f"materializing Q_{ell} exceeds the entry cap")
-            value = coeff / float(mult)
-            for word in _distinct_words(beta):
-                col = 0
-                for letter in word:
-                    col = col * self.d + letter
-                for i in range(self.d):
-                    if value[i] != 0.0:
-                        rows_idx.append(i)
-                        cols_idx.append(col)
-                        vals.append(value[i])
-        return sparse.csr_matrix((vals, (rows_idx, cols_idx)), shape=(self.d, cols))
+        budget = sum(_multiplicity(beta) * int(np.count_nonzero(coeff))
+                     for beta, coeff in by_beta.items())
+        if budget > max_entries:
+            raise MemoryError(f"materializing Q_{ell} exceeds the entry cap")
+        shape = (self.d, self.d**ell)
+        if not by_beta:
+            return sparse.csr_matrix(shape)
+        values = np.stack([coeff / float(_multiplicity(beta))
+                           for beta, coeff in by_beta.items()])
+        slot = np.full(shape[1], -1)
+        slot[[_content_column(beta) for beta in by_beta]] = np.arange(len(by_beta))
+        which = slot[_content_index(self.d, ell)]
+        cols = np.flatnonzero(which >= 0)
+        placed = values[which[cols]].T
+        rows, k = np.nonzero(placed)
+        return sparse.csr_matrix((placed[rows, k], (rows, cols[k])), shape=shape)
 
     def to_json(self) -> str:
         payload = {
@@ -615,17 +628,10 @@ def compose_schedule(attack: list[AttackSubstep], learner: list[LearnerSubstep],
     def closure(points):
         vec = np.asarray(points)
         for sub in sched.attack:
-            delta, u = vec[..., :m], vec[..., m:]
-            w = grads.g_delta(vec) / sub.alpha
-            z = (delta + sub.eta_delta * p_s(w)) / eps_ball
-            if monitor is not None:
-                monitor.record(np.real(w), np.real(z))
-            d_plus = eps_ball * p_c(z)
-            vec = np.concatenate([d_plus, u], axis=-1)
+            vec = _attack_substep(vec, m, sub.eta_delta, sub.alpha, eps_ball,
+                                  grads, p_s, p_c, monitor)
         for sub in sched.learner:
-            delta, u = vec[..., :m], vec[..., m:]
-            u_plus = u - sub.eta_u * grads.g_u(vec)
-            vec = np.concatenate([delta, u_plus], axis=-1)
+            vec = _learner_substep(vec, m, sub.eta_u, grads)
         return vec
 
     return closure, sched
@@ -641,21 +647,16 @@ def one_step_delta_bound(m: int, eta_delta: float, delta_s: float,
     return math.sqrt(m) * (eta_delta * delta_s + eps_ball * delta_c)
 
 
-def base_step_error_bound(eps_nl_step: float, eta_u: float, l_u_delta: float,
-                          eps_u_grad: float) -> float:
-    if min(eps_nl_step, eta_u, l_u_delta, eps_u_grad) < 0:
-        raise ValueError("inputs must be nonnegative")
-    return (1.0 + eta_u * l_u_delta) * eps_nl_step + eta_u * eps_u_grad
-
-
 def scaled_base_step_error_bound(delta_step_err: float, eta_u: float,
                                  l_u_delta: float, eps_u_grad: float,
                                  scale_delta: float = 1.0,
                                  scale_u: float = 1.0) -> float:
     """One-step state error after diagonal rescaling of the two blocks.
 
-    Reduces to the unscaled bound at scale_delta = scale_u = 1.
+    At the default unit scales this is the unscaled bound
+    (1 + eta_u l_u_delta) delta_step_err + eta_u eps_u_grad.
     """
+    if min(delta_step_err, eta_u, l_u_delta, eps_u_grad, scale_delta, scale_u) < 0:
+        raise ValueError("inputs must be nonnegative")
     return ((scale_delta + scale_u * eta_u * l_u_delta) * delta_step_err
             + scale_u * eta_u * eps_u_grad)
-

@@ -176,7 +176,6 @@ class FoldedInstance:
     lam: float | None = None
     uses_fold: bool = True
     fixed_polys: tuple | None = None
-    expansion_radius: float = 1.0
     max_expand_degree: int = 60
 
     declared_delta_s: float = 0.05

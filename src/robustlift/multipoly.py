@@ -121,16 +121,6 @@ class MultiPoly:
         return out
 
     # -- queries -------------------------------------------------------
-    def trim(self, tol: float = 0.0) -> "MultiPoly":
-        c = self.coeffs.copy()
-        if tol > 0.0:
-            c[np.abs(c) <= tol] = 0.0
-        keep = []
-        for ax in range(self.d):
-            nz = np.nonzero(np.moveaxis(c, ax, 0).reshape(c.shape[ax], -1).any(axis=1))[0]
-            keep.append(slice(0, (nz[-1] + 1) if nz.size else 1))
-        return MultiPoly(c[tuple(keep)])
-
     def total_degree(self, tol: float = 0.0) -> int:
         mask = np.abs(self.coeffs) > tol
         if not mask.any():

@@ -347,6 +347,10 @@ def sign_checks(spec: SignSpec) -> list[PolyCheck]:
     ]
 
 
+# the clauses of sign_checks that carry the accuracy delta
+_SIGN_ACC_LABELS = ("gap_plus", "gap_minus")
+
+
 def _mollified_sign(tau_t: float, delta: float):
     """Smoothed sign target on [-1, 1] with headroom for interpolation wiggle.
 
@@ -418,6 +422,10 @@ def clip_checks(spec: ClipSpec) -> list[PolyCheck]:
     ]
 
 
+# the clauses of clip_checks that carry the accuracy delta
+_CLIP_ACC_LABELS = ("inner", "outer_plus", "outer_minus")
+
+
 def design_clip_poly(
     spec: ClipSpec,
     max_degree: int = 4000,
@@ -452,6 +460,19 @@ def design_clip_poly(
     if not cert.passed:
         raise PolyDesignError(f"clip certification failed for {spec}: {cert}")
     return replace(cand, certificate=cert)
+
+
+def achieved_delta(poly: OddPolynomial | None) -> float | None:
+    """Certified sup over a surrogate's accuracy clauses, if it carries any.
+
+    A sign design certifies the gap clauses and a clip design the inner
+    and outer ones; the "bounded" clause caps |P| and is no accuracy.
+    """
+    if poly is None or poly.certificate is None:
+        return None
+    labels = _SIGN_ACC_LABELS + _CLIP_ACC_LABELS
+    sups = [c.certified_sup for c in poly.certificate.checks if c.label in labels]
+    return max(sups) if sups else None
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman, horizon, solver
-from .dynamics import scaled_base_step_error_bound
-from .polyapprox import DegreeBudget, degrees_from_budget
+from .dynamics import one_step_delta_bound, scaled_base_step_error_bound
+from .polyapprox import DegreeBudget, achieved_delta, degrees_from_budget
 
 __all__ = [
     "DEGENERATE_WEIGHT",
@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 DEGENERATE_WEIGHT = 1e-300
+
+# probe phase of `run_pipeline_certificate`: coarse surrogate accuracies,
+# the probe lift's cutoff, and the margins the plan adds to what it measured
+_PROBE_DELTAS = (1e-3, 1e-3)
+_N_PROBE = 4
+_RHO_MARGIN = 0.05
+_VBAR_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -237,8 +244,8 @@ def plan_budgets(eps_out: float, inputs: PlanInputs,
                 "per-step budget leaves the admissible regime")
         delta_s, delta_c = degrees.delta_s, degrees.delta_c
         step_err = scaled_base_step_error_bound(
-            math.sqrt(inputs.m) * (inputs.eta_delta_max * delta_s
-                                   + inputs.eps_ball * delta_c),
+            one_step_delta_bound(inputs.m, inputs.eta_delta_max, delta_s,
+                                 inputs.eps_ball, delta_c),
             inputs.eta_u_max, inputs.l_u_delta, inputs.eps_u_grad,
             inputs.scale_delta, inputs.scale_u)
         lines.append(BudgetLine("per-step model error", step_err, base_target))
@@ -311,18 +318,6 @@ def _deviation(states, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (arr - center) * scale
 
 
-_SIGN_ACC_LABELS = ("gap_plus", "gap_minus")
-_CLIP_ACC_LABELS = ("inner", "outer_plus", "outer_minus")
-
-
-def _achieved_delta(poly, labels) -> float | None:
-    """Certified sup over the accuracy clauses, if the poly carries one."""
-    if poly is None or poly.certificate is None:
-        return None
-    sups = [c.certified_sup for c in poly.certificate.checks if c.label in labels]
-    return max(sups) if sups else None
-
-
 def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
     """Sampled rows of `row_access` against the rows of M times 1 / (1 + rho):
     the same IEEE products `row_access` takes, so the check is bit-exact."""
@@ -343,12 +338,9 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
 
 
 def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
-                             probe_deltas: tuple[float, float] = (1e-3, 1e-3),
-                             n_probe: int = 4, n_max: int = 12,
+                             n_max: int = 12,
                              max_stacked_nnz: int = horizon.MAX_STACKED_NNZ,
                              p_star_fraction: float = 0.9,
-                             rho_margin: float = 0.05,
-                             vbar_margin: float = 0.05,
                              seed: int = 0) -> Certificate:
     """Design, lift, solve and read out one instance; report everything.
 
@@ -367,7 +359,7 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
 
     # ---- probe phase
     if instance.uses_fold:
-        ps_probe, pc_probe = instance.design_polys(*probe_deltas)
+        ps_probe, pc_probe = instance.design_polys(*_PROBE_DELTAS)
         probe_states = instance.folded_states(ps_probe, pc_probe)
     else:
         ps_probe = pc_probe = None
@@ -375,20 +367,20 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     dev_probe = _deviation(probe_states, center, scale)
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
     probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
-    probe_major = carleman.majorant_and_contractivity(probe_coeffs, n_probe)
-    step_probe = carleman.build_lifted_step(probe_coeffs, n_probe)
-    y0_probe = carleman.lift_state(dev_probe[0], n_probe)
+    probe_major = carleman.majorant_and_contractivity(probe_coeffs, _N_PROBE)
+    step_probe = carleman.build_lifted_step(probe_coeffs, _N_PROBE)
+    y0_probe = carleman.lift_state(dev_probe[0], _N_PROBE)
     run_probe = carleman.run_truncated_recurrence(step_probe, y0_probe, t_window)
     stacked_probe = run_probe.stacked
     beta0_probe = float(np.linalg.norm(y0_probe))
     unit_probe = stacked_probe / np.linalg.norm(stacked_probe)
-    block_dim_probe = carleman.delta_dim(grads.d, n_probe)
+    block_dim_probe = carleman.delta_dim(grads.d, _N_PROBE)
     probe_term = extract_terminal(unit_probe, m, n, block_dim_probe, t_window)
     p_star = p_star_fraction * probe_term.p_term
 
     # ---- plan
-    rho_plan = min(probe_major.rho + rho_margin, 0.995)
-    vbar_plan = min(vbar_probe + vbar_margin, 0.995)
+    rho_plan = min(probe_major.rho + _RHO_MARGIN, 0.995)
+    vbar_plan = min(vbar_probe + _VBAR_MARGIN, 0.995)
     plan = plan_budgets(eps_out, PlanInputs(
         rho=rho_plan,
         t_window=t_window,
@@ -474,10 +466,10 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     if instance.uses_fold:
         # claim whichever accuracy is worse: the planned split or what the
         # delivered surrogates actually certify
-        d_s = max(plan.delta_s, _achieved_delta(p_s, _SIGN_ACC_LABELS) or 0.0)
-        d_c = max(plan.delta_c, _achieved_delta(p_c, _CLIP_ACC_LABELS) or 0.0)
+        d_s = max(plan.delta_s, achieved_delta(p_s) or 0.0)
+        d_c = max(plan.delta_c, achieved_delta(p_c) or 0.0)
         eps_base = scaled_base_step_error_bound(
-            math.sqrt(m) * (sched.eta_delta_max * d_s + sched.eps_ball * d_c),
+            one_step_delta_bound(m, sched.eta_delta_max, d_s, sched.eps_ball, d_c),
             sched.eta_u_max, grads.l_u_delta, grads.eps_u_grad,
             float(scale[0]), float(scale[m]))
     else:

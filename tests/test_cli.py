@@ -125,6 +125,13 @@ class TestManifest:
         assert manifest["config_sha256"] == digest
         assert manifest["resolved_config"]["resources"]["kappa"] == 5.0
 
+    def test_folded_demo_records_window_run(self, tmp_path):
+        # the default window of 50 asks for more than folded-demo runs
+        code, outdir = run(["certify", "--instance", "folded-demo"], tmp_path)
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["resolved_config"]["instance"]["t_window"] == 12
+
     def test_seed_override_recorded(self, tmp_path):
         code, outdir = run(["estimate-resources", "--seed", "7"], tmp_path)
         assert code == 0

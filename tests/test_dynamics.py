@@ -1,6 +1,7 @@
 """Outer step, polynomial surrogate, coefficient expansion, composition."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from robustlift.dynamics import (
     PolynomialMapCoeffs,
     StepMonitor,
     StepSchedule,
-    base_step_error_bound,
     compose_schedule,
     exact_outer_step,
     expand_polynomial_map,
@@ -312,6 +312,25 @@ class TestMapCoeffs:
             assert coeffs.operator_norm(ell) >= spectral - 1e-10
             assert np.isfinite(true)
 
+    def test_high_degree_monomial_placed_by_content(self):
+        # one (6, 6) monomial: 924 of the 4096 columns share its content,
+        # out of 12! orderings of its letters
+        coeff = np.array([0.7, -1.3])
+        coeffs = PolynomialMapCoeffs(2, {12: {(6, 6): coeff}})
+        start = time.perf_counter()
+        mat = coeffs.as_matrix(12)
+        assert time.perf_counter() - start < 1.0
+        assert mat.shape == (2, 4096) and mat.nnz == 2 * math.comb(12, 6)
+        with pytest.raises(MemoryError, match="entry cap"):
+            coeffs.as_matrix(12, max_entries=mat.nnz - 1)
+        for v in RNG.uniform(-1.5, 1.5, size=(5, 2)):
+            power = np.array([1.0])
+            for _ in range(12):
+                power = np.kron(power, v)
+            np.testing.assert_allclose(mat @ power,
+                                       coeff * v[0] ** 6 * v[1] ** 6,
+                                       rtol=1e-12, atol=0)
+
     def test_row_sparsity_counts_nonzero_columns(self):
         terms = {1: {(1, 0, 0): np.array([1.0, 0.0, 0.0]),
                      (0, 0, 1): np.array([0.5, 0.0, 0.0])}}
@@ -368,21 +387,22 @@ class TestComposition:
 
 class TestErrorBounds:
     def test_base_step_frozen_example(self):
-        assert base_step_error_bound(0.01, 0.1, 2.0, 0.05) == \
+        assert scaled_base_step_error_bound(0.01, 0.1, 2.0, 0.05) == \
             pytest.approx(0.017)
 
     def test_base_step_degenerate(self):
-        assert base_step_error_bound(0.01, 0.1, 0.0, 0.0) == \
+        assert scaled_base_step_error_bound(0.01, 0.1, 0.0, 0.0) == \
             pytest.approx(0.01)
 
     def test_scaled_reduces_to_unscaled(self):
-        plain = base_step_error_bound(0.01, 0.1, 2.0, 0.05)
+        plain = (1.0 + 0.1 * 2.0) * 0.01 + 0.1 * 0.05
         scaled = scaled_base_step_error_bound(0.01, 0.1, 2.0, 0.05, 1.0, 1.0)
-        assert scaled == pytest.approx(plain)
+        assert scaled == plain
+        assert scaled_base_step_error_bound(0.01, 0.1, 2.0, 0.05) == plain
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            base_step_error_bound(-0.01, 0.1, 2.0, 0.05)
+            scaled_base_step_error_bound(-0.01, 0.1, 2.0, 0.05)
 
     def test_measured_bridge_error_within_bound(self):
         # affine gradients: surrogate error comes only from sign/clip
@@ -393,7 +413,8 @@ class TestErrorBounds:
         sched = StepSchedule.uniform(1, eps_ball=eps, eta_delta=eta_d,
                                      eta_u=eta_u)
         eps_nl = one_step_delta_bound(2, eta_d, 0.05, eps, 0.02)
-        eps_base = base_step_error_bound(eps_nl, eta_u, grads.l_u_delta, 0.0)
+        eps_base = scaled_base_step_error_bound(eps_nl, eta_u, grads.l_u_delta,
+                                                0.0)
         checked = 0
         while checked < 1000:
             v = CoupledState(RNG.uniform(-eps, eps, 2), RNG.uniform(-1, 1, 1))
