@@ -532,19 +532,17 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
         coeff_grid[..., i] = np.fft.fftn(vals[..., i]) / npts**d
     mags = np.abs(coeff_grid)
     floor = 1e-12 * max(1.0, float(mags.max()))
-    for beta in np.ndindex(*([npts] * d)):
-        vec = coeff_grid[beta]
-        if np.abs(vec).max() <= floor:
-            continue
-        ell = int(sum(beta))
-        descale = 1.0
-        for b in beta:
-            descale *= scale_cache[b]
-        real = np.real(vec) / descale
-        real[np.abs(real) <= floor] = 0.0
-        if not real.any():
-            continue
-        terms.setdefault(ell, {})[tuple(int(b) for b in beta)] = real
+    # surviving grid points in C order; the descale product runs axis by
+    # axis from 1.0, so each row gets the same bits a per-point loop would
+    betas = np.argwhere(~(mags.max(axis=-1) <= floor))
+    descale = np.ones(len(betas))
+    for axis in range(d):
+        descale *= scale_cache[betas[:, axis]]
+    real = coeff_grid[tuple(betas.T)].real / descale[:, None]
+    real[np.abs(real) <= floor] = 0.0
+    keep = real.any(axis=1)
+    for beta, row in zip(betas[keep].tolist(), real[keep]):
+        terms.setdefault(sum(beta), {})[tuple(beta)] = row
     coeffs = PolynomialMapCoeffs(d, terms)
 
     rng = rng or np.random.default_rng(0)

@@ -20,6 +20,7 @@ export convenience.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -138,6 +139,10 @@ class PolyCheck:
     target: str
     bound: float
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.intervals:
+            raise ValueError("a clause needs at least one interval")
 
 
 @dataclass(frozen=True)
@@ -307,6 +312,31 @@ def _critical_check(poly: OddPolynomial, check: PolyCheck) -> CheckResult:
                        certified, certified <= check.bound + tol)
 
 
+def _clause_results(
+    poly: OddPolynomial,
+    checks: list[PolyCheck] | tuple[PolyCheck, ...],
+    grid_density: float,
+    mode: str,
+) -> tuple[str, Iterator[CheckResult]]:
+    """Resolved mode and a lazy iterator of one CheckResult per clause.
+
+    A clause is evaluated only when the iterator reaches it, so a caller
+    that stops at the first failed clause skips the rest.
+    """
+    if not checks:
+        raise ValueError("need at least one clause to certify")
+    if mode == "auto":
+        tightest = min(c.bound for c in checks)
+        mode = "critical" if tightest < 1e-5 else "grid"
+    if mode == "grid" and grid_density < 1e4:
+        raise ValueError("grid_density must be at least 1e4 per unit length")
+    if mode == "grid":
+        return mode, (_grid_check(poly, c, grid_density) for c in checks)
+    if mode == "critical":
+        return mode, (_critical_check(poly, c) for c in checks)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def verify_poly_spec(
     poly: OddPolynomial,
     checks: list[PolyCheck] | tuple[PolyCheck, ...],
@@ -319,19 +349,10 @@ def verify_poly_spec(
     length, >= 1e4) and inflates by h * sup|P'| / 2, which is a sound
     covering bound.  Critical mode enumerates the extrema instead and is
     selected automatically when a requested bound is too small for any
-    practical grid.
+    practical grid.  An empty clause list is refused.
     """
-    if mode == "auto":
-        tightest = min(c.bound for c in checks)
-        mode = "critical" if tightest < 1e-5 else "grid"
-    if mode == "grid" and grid_density < 1e4:
-        raise ValueError("grid_density must be at least 1e4 per unit length")
-    if mode == "grid":
-        results = tuple(_grid_check(poly, c, grid_density) for c in checks)
-    elif mode == "critical":
-        results = tuple(_critical_check(poly, c) for c in checks)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    mode, results = _clause_results(poly, checks, grid_density, mode)
+    results = tuple(results)
     return CertificateFragment(mode, grid_density, results, all(r.passed for r in results))
 
 
@@ -373,17 +394,12 @@ def _design_density(poly: OddPolynomial, user_density: float, slack_scale: float
     return float(min(max(user_density, needed), _DENSITY_CAP))
 
 
-def design_sign_poly(
-    spec: SignSpec,
-    max_degree: int = 4000,
-    grid_density: float = 1e4,
-    mode: str = "auto",
-) -> OddPolynomial:
-    """Smallest-degree certified gapped sign approximant found by search.
+def _search_sign(
+    spec: SignSpec, max_degree: int, grid_density: float, mode: str,
+) -> tuple[OddPolynomial, float]:
+    """First certified unit-interval candidate of the degree walk, and its density.
 
-    Interpolates the mollified target at Chebyshev points, keeps the odd
-    part, and walks the degree up until verify_poly_spec certifies the
-    three clauses.  Raises PolyDesignError past max_degree.
+    Each candidate's clauses run only up to the first that fails.
     """
     tau_t = spec.tau / spec.halfwidth
     target, w = _mollified_sign(tau_t, spec.delta)
@@ -395,18 +411,36 @@ def design_sign_poly(
         full[0::2] = 0.0  # odd target: even coefficients are rounding noise
         cand = OddPolynomial(full[1::2], 1.0)
         density = _design_density(cand, grid_density, spec.delta)
-        cert = verify_poly_spec(cand, checks_unit, density, mode)
-        if cert.passed:
-            # rescale the certified base solution to the requested interval;
-            # coefficients are shared bit-for-bit with the unit design
-            final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
-            cert_final = verify_poly_spec(final, sign_checks(spec), density, mode)
-            return replace(final, certificate=cert_final)
+        _, results = _clause_results(cand, checks_unit, density, mode)
+        if all(r.passed for r in results):
+            return cand, density
         step = max(2, int(0.08 * deg) & ~1)
         deg += step
     raise PolyDesignError(
         f"no certified sign polynomial up to degree {max_degree} for {spec}"
     )
+
+
+def design_sign_poly(
+    spec: SignSpec,
+    max_degree: int = 4000,
+    grid_density: float = 1e4,
+    mode: str = "auto",
+) -> OddPolynomial:
+    """Smallest-degree certified gapped sign approximant found by search.
+
+    Interpolates the mollified target at Chebyshev points, keeps the odd
+    part, and walks the degree up until the three clauses hold on the unit
+    interval; a candidate's clauses stop at the first that fails.  The
+    returned polynomial carries a full certificate of all three clauses on
+    the requested interval.  Raises PolyDesignError past max_degree.
+    """
+    cand, density = _search_sign(spec, max_degree, grid_density, mode)
+    # rescale the certified base solution to the requested interval;
+    # coefficients are shared bit-for-bit with the unit design
+    final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
+    cert_final = verify_poly_spec(final, sign_checks(spec), density, mode)
+    return replace(final, certificate=cert_final)
 
 
 # ----------------------------------------------------------------------
@@ -438,14 +472,15 @@ def design_clip_poly(
     and error delta_c / L_c; then
     P_c(x) = ((x+1) S(x+1) - (x-1) S(x-1)) / 2
     is odd, has degree <= deg S + 1, tracks the identity inside, sign
-    outside, and stays within [-1, 1] on the unit interval.
+    outside, and stays within [-1, 1] on the unit interval.  S is the
+    sign search's unit candidate rescaled to R_c, with no certificate of
+    its own; P_c's certificate runs all four clip clauses.
     """
-    inner = design_sign_poly(
+    unit, _ = _search_sign(
         SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
-        max_degree=max_degree,
-        grid_density=grid_density,
-        mode=mode,
+        max_degree, grid_density, mode,
     )
+    inner = OddPolynomial(unit.odd_coeffs, spec.widened)
 
     def combo(x):
         return 0.5 * ((x + 1.0) * inner(x + 1.0) - (x - 1.0) * inner(x - 1.0))

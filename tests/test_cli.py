@@ -230,6 +230,11 @@ class TestCommands:
         report = json.loads((outdir / "reduction_report.json").read_text())
         assert report["step_ok"] and report["truncation_ok"]
         assert "step ok: True" in capsys.readouterr().out
+        # the manifest names the instance that ran, not the configured one
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        ran = manifest["resolved_config"]["instance"]
+        assert ran["name"] == "folded-demo"
+        assert ran["t_window"] == report["t_window"] == 6
 
     def test_design_polys(self, tmp_path):
         cfg = write_config(tmp_path, "[polys]\ndelta_c = 0.05\n")

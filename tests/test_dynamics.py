@@ -282,6 +282,93 @@ class TestExpansion:
         assert (err <= 1e-10 * (1 + np.linalg.norm(truth, axis=1))).all()
 
 
+def _loop_terms(step_closure, d, d_max, radius=1.0):
+    """Reference extraction: one grid point at a time, in np.ndindex order."""
+    npts = d_max + 1
+    base = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
+    grids = np.meshgrid(*([base] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = np.asarray(step_closure(pts)).reshape((npts,) * d + (d,))
+    scale_cache = radius ** np.arange(npts, dtype=float)
+    coeff_grid = np.empty((npts,) * d + (d,), dtype=complex)
+    for i in range(d):
+        coeff_grid[..., i] = np.fft.fftn(vals[..., i]) / npts**d
+    mags = np.abs(coeff_grid)
+    floor = 1e-12 * max(1.0, float(mags.max()))
+    terms = {}
+    for beta in np.ndindex(*([npts] * d)):
+        vec = coeff_grid[beta]
+        if np.abs(vec).max() <= floor:
+            continue
+        descale = 1.0
+        for b in beta:
+            descale *= scale_cache[b]
+        real = np.real(vec) / descale
+        real[np.abs(real) <= floor] = 0.0
+        if not real.any():
+            continue
+        terms.setdefault(int(sum(beta)), {})[tuple(int(b) for b in beta)] = real
+    return terms
+
+
+def _cubic_field(pts):
+    p = np.asarray(pts)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack([0.3 * x - 0.2 * y * z + 0.05 * x**3 + 0.01,
+                     0.4 * y + 0.1 * x * x * z,
+                     -0.25 * z + 0.07 * x * y * z], axis=-1)
+
+
+def _zero_coordinate(pts):
+    p = np.asarray(pts)
+    return np.stack([0.5 * p[..., 0] * p[..., 1] - 0.1 * p[..., 1] ** 2,
+                     np.zeros(p.shape[0])], axis=-1)
+
+
+def _near_floor(pts):
+    # grid magnitudes 0.9e-12 (under the 1e-12 floor) and 1.1e-12 (over it)
+    p = np.asarray(pts)
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([0.5 * x + 0.9e-12 * x * y, 0.5 * y + 1.1e-12 * x * y],
+                    axis=-1)
+
+
+class TestExtractionMatchesLoop:
+    @pytest.mark.parametrize("closure,d,d_max,radius", [
+        (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 5, 1.0),
+        (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 7, 0.3),
+        (_zero_coordinate, 2, 4, 1.0),
+        (_zero_coordinate, 2, 6, 0.05),
+        (_near_floor, 2, 3, 1.0),
+        (_cubic_field, 3, 3, 1.0),
+        (_cubic_field, 3, 5, 0.5),
+    ], ids=["d1", "d1-radius", "d2-zero-coord", "d2-zero-coord-radius",
+            "d2-near-floor", "d3", "d3-radius"])
+    def test_terms_bitwise_equal(self, closure, d, d_max, radius):
+        got = expand_polynomial_map(closure, d, d_max, radius=radius).terms
+        want = _loop_terms(closure, d, d_max, radius)
+        assert list(got) == list(want)
+        for ell, by_beta in want.items():
+            assert list(got[ell]) == list(by_beta)
+            for beta, coeff in by_beta.items():
+                assert got[ell][beta].dtype == coeff.dtype
+                assert got[ell][beta].tobytes() == coeff.tobytes()
+
+    def test_floor_drops_and_keeps_near_coefficients(self):
+        terms = expand_polynomial_map(_near_floor, 2, 3).terms
+        assert terms[2][(1, 1)][0] == 0.0
+        assert terms[2][(1, 1)][1] == pytest.approx(1.1e-12, rel=1e-3)
+
+    def test_zero_coordinate_stays_zero(self):
+        terms = expand_polynomial_map(_zero_coordinate, 2, 4).terms
+        assert all(coeff[1] == 0.0 for by in terms.values()
+                   for coeff in by.values())
+
+    def test_overflow_still_raises(self):
+        with pytest.raises(DegreeOverflowError):
+            expand_polynomial_map(_cubic_field, 3, 2)
+
+
 class TestMapCoeffs:
     def make(self):
         grads = toy_gradient()

@@ -1,9 +1,14 @@
 """Sign/clip surrogate design and the grid-plus-Lipschitz verifier."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as C
 
+from robustlift import polyapprox
 from robustlift.polyapprox import (
     ClipSpec,
     DegreeBudget,
@@ -50,6 +55,15 @@ class TestVerifier:
                 cheb_identity(),
                 [PolyCheck(((-1.0, 1.0),), "zero", 1.0, "b")],
                 grid_density=100.0, mode="grid")
+
+    @pytest.mark.parametrize("mode", ["grid", "critical", "auto"])
+    def test_empty_check_list_rejected(self, mode):
+        with pytest.raises(ValueError, match="at least one clause"):
+            verify_poly_spec(OddPolynomial(np.array([5.0])), [], mode=mode)
+
+    def test_empty_intervals_rejected(self):
+        with pytest.raises(ValueError, match="at least one interval"):
+            PolyCheck((), "zero", 1.0, "b")
 
     def test_certified_sup_includes_inflation(self):
         poly = design_sign_poly(SignSpec(1.0, 0.2, 0.05))
@@ -124,6 +138,87 @@ class TestClipDesign:
         poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
         xs = np.linspace(-1.0, 1.0, 4001)
         assert np.max(np.abs(poly(xs))) <= 1.0
+
+
+def _full_verify_sign(spec, grid_density=1e4, mode="auto"):
+    """Reference degree walk: every candidate gets a full certificate."""
+    tau_t = spec.tau / spec.halfwidth
+    target, w = polyapprox._mollified_sign(tau_t, spec.delta)
+    checks_unit = sign_checks(SignSpec(1.0, tau_t, spec.delta))
+    deg = max(3, int(math.ceil(1.2 / w)) | 1)
+    while True:
+        full = C.chebinterpolate(target, deg)
+        full[0::2] = 0.0
+        cand = OddPolynomial(full[1::2], 1.0)
+        density = polyapprox._design_density(cand, grid_density, spec.delta)
+        if verify_poly_spec(cand, checks_unit, density, mode).passed:
+            final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
+            cert = verify_poly_spec(final, sign_checks(spec), density, mode)
+            return replace(final, certificate=cert)
+        deg += max(2, int(0.08 * deg) & ~1)
+
+
+def _full_verify_clip(spec, grid_density=1e4, mode="auto"):
+    """Reference clip design over the fully verified inner sign design."""
+    inner = _full_verify_sign(
+        SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
+        grid_density, mode)
+
+    def combo(x):
+        return 0.5 * ((x + 1.0) * inner(x + 1.0) - (x - 1.0) * inner(x - 1.0))
+
+    full = C.chebinterpolate(lambda t: combo(spec.big_l * t), inner.degree + 1)
+    full[0::2] = 0.0
+    cand = OddPolynomial(full[1::2], spec.big_l)
+    density = polyapprox._design_density(cand, grid_density,
+                                         spec.delta / spec.big_l)
+    return replace(cand, certificate=verify_poly_spec(
+        cand, clip_checks(spec), density, mode))
+
+
+class TestSearchMatchesFullVerify:
+    @pytest.mark.parametrize("spec", [
+        SignSpec(1.0, 0.2, 0.05),
+        ClipSpec(2.0, 0.1, 0.02),
+        SignSpec(2.0, 0.3, 0.1),
+        SignSpec(1.0, 0.1, 1e-6),  # critical mode
+    ], ids=["sign-default", "clip-default", "sign-wide", "sign-critical"])
+    def test_same_design_and_certificate(self, spec):
+        if isinstance(spec, ClipSpec):
+            got, want = design_clip_poly(spec), _full_verify_clip(spec)
+        else:
+            got, want = design_sign_poly(spec), _full_verify_sign(spec)
+        assert got.degree == want.degree
+        assert got.halfwidth == want.halfwidth
+        assert got.odd_coeffs.tobytes() == want.odd_coeffs.tobytes()
+        assert got.certificate.to_dict() == want.certificate.to_dict()
+
+    def test_failing_candidate_stops_at_first_failed_clause(self, monkeypatch):
+        # the clip's inner sign search: "bounded" fails first on its
+        # low-degree candidates, so the gap clauses never run there
+        calls = []
+        grid_check = polyapprox._grid_check
+
+        def counted(poly, check, density):
+            result = grid_check(poly, check, density)
+            calls.append((poly.degree, check.label, result.passed))
+            return result
+
+        monkeypatch.setattr(polyapprox, "_grid_check", counted)
+        spec = ClipSpec(2.0, 0.1, 0.02)
+        polyapprox._search_sign(
+            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
+            4000, 1e4, "auto")
+        by_degree = {}
+        for degree, label, passed in calls:
+            by_degree.setdefault(degree, []).append((label, passed))
+        *failed, last = by_degree.values()
+        assert [passed for _, passed in last] == [True, True, True]
+        for results in failed:
+            *head, (_, stopped) = results
+            assert all(passed for _, passed in head) and not stopped
+        assert any(len(results) == 1 for results in failed)
+        assert len(calls) < 3 * len(by_degree)
 
 
 class TestBudgetSplit:
