@@ -10,11 +10,11 @@ Assembly runs the level recurrence
 
     K_{j,s} = sum_l kron(Q_l, K_{j-1, s-l}),
 
-over one list of blocks per level, which touches each block once instead
-of enumerating compositions.  Each Q_l comes from the step map placed by
-exponent content (see `dynamics`): the word of a column's base-d digits
-names a monomial, and every reordering of that word carries the same
-share of its coefficient.
+one numpy pass per level, and gives the bits scipy's sparse `kron` and CSR
+sums would: every entry is the same IEEE products added in ascending l.
+Each Q_l comes from the step map placed by exponent content (see
+`dynamics`): the word of a column's base-d digits names a monomial, and
+every reordering of that word carries the same share of its coefficient.
 
 Contractivity and truncation tails never look at B directly: a small
 N x N majorant built from per-degree operator norms bounds ||B||_2, and
@@ -60,6 +60,8 @@ def level_offsets(d: int, n_levels: int) -> np.ndarray:
 
 def lift_state(v: np.ndarray, n_levels: int,
                dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+    if n_levels < 1:
+        raise ValueError("a lift needs at least one level")
     v = np.asarray(v, dtype=float)
     d = len(v)
     if delta_dim(d, n_levels) > dim_cap:
@@ -89,34 +91,233 @@ class LiftedStep:
         return self.b_matrix @ y + self.c_vector
 
 
+@dataclass
+class _Level:
+    """The blocks K_{j,0}, ..., K_{j,N} of one level, side by side.
+
+    Column u lies in block s when off[s] <= u < off[s+1], so column 0 is
+    the constant column and column u >= 1 is column u - 1 of B.  A level
+    is held as a dense slab with the mask of what it stores, or as its
+    stored entries: ascending keys row * width + u and their values.
+    """
+
+    n_rows: int
+    width: int
+    slab: np.ndarray | None = None
+    stored: np.ndarray | None = None
+    keys: np.ndarray | None = None
+    vals: np.ndarray | None = None
+
+    def entries(self):
+        """Rows, columns and values of the stored entries."""
+        if self.slab is not None:
+            rows, cols = np.nonzero(self.stored)
+            return rows, cols, self.slab[self.stored]
+        rows, cols = np.divmod(self.keys, self.width)
+        return rows, cols, self.vals
+
+    def as_slab(self):
+        """The level as a slab (zeros where unstored) and its stored mask."""
+        if self.slab is not None:
+            return self.slab, self.stored
+        slab = np.zeros(self.n_rows * self.width)
+        stored = np.zeros(self.n_rows * self.width, dtype=bool)
+        slab[self.keys] = self.vals
+        stored[self.keys] = True
+        return (slab.reshape(self.n_rows, self.width),
+                stored.reshape(self.n_rows, self.width))
+
+    def block_counts(self, off: np.ndarray) -> np.ndarray:
+        """Stored entries per block s = 0..N."""
+        if self.slab is not None:
+            return np.add.reduceat(np.count_nonzero(self.stored, axis=0),
+                                   off[:-1])
+        blocks = np.searchsorted(off, self.keys % self.width, side="right") - 1
+        return np.bincount(blocks, minlength=len(off) - 1)
+
+    def row_counts(self) -> np.ndarray:
+        """Stored entries per row in the columns of B."""
+        if self.slab is not None:
+            return np.count_nonzero(self.stored[:, 1:], axis=1)
+        rows, cols = np.divmod(self.keys, self.width)
+        return np.bincount(rows[cols > 0], minlength=self.n_rows)
+
+    def write(self, indices: np.ndarray, data: np.ndarray) -> None:
+        """Fill this level's rows of B in row-major, column-sorted order."""
+        if self.slab is not None:
+            mask = self.stored[:, 1:]
+            cols = np.arange(self.width - 1, dtype=indices.dtype)
+            indices[:] = np.broadcast_to(cols, mask.shape)[mask]
+            data[:] = self.slab[:, 1:][mask]
+            return
+        cols = self.keys % self.width
+        in_b = cols > 0
+        indices[:] = cols[in_b] - 1
+        data[:] = self.vals[in_b]
+
+    def constant(self) -> np.ndarray:
+        """Column 0 as `toarray` gives it: 0.0 + value where stored."""
+        if self.slab is not None:
+            # an unstored cell holds a signed zero
+            return self.slab[:, 0] + 0.0
+        out = np.zeros(self.n_rows)
+        rows, cols = np.divmod(self.keys, self.width)
+        first = cols == 0
+        out[rows[first]] += self.vals[first]
+        return out
+
+
+def _dense_level(mats, live, prev, off, per_block, single) -> _Level:
+    """Accumulate a level block by block into a slab.
+
+    Every factor is finite here (see `_next_level`), so the products of
+    unstored zeros, which `kron` never forms, leave each nonzero sum as
+    it was.  The slab starts at -0.0 because -0.0 + x == x keeps a lone
+    product's bits, zeros included.  A block summed from two or more
+    terms stores its nonzeros, as a CSR sum does; a single-term block
+    stores every product `kron` makes.
+    """
+    d = mats[0].shape[0]
+    prev_slab, prev_stored = prev.as_slab()
+    slab = np.full((d * prev.n_rows, prev.width), -0.0)
+    stored = np.zeros(slab.shape, dtype=bool)
+    for ell in live:
+        q = mats[ell]
+        q_dense = q.toarray()
+        q_struct = sparse.csr_matrix((np.ones(q.nnz, dtype=bool), q.indices,
+                                      q.indptr), shape=q.shape).toarray()
+        for sp in range(len(off) - 1 - ell):
+            if not per_block[sp]:
+                continue
+            s = sp + ell
+            # rows (Q row, prev row) and columns (Q column, prev column):
+            # splitting both axes keeps the slice a view
+            shape = (d, prev.n_rows, d**ell, d**sp)
+            src = np.s_[None, :, None, off[sp]:off[sp + 1]]
+            target = slab[:, off[s]:off[s + 1]].reshape(shape)
+            target += q_dense[:, None, :, None] * prev_slab[src]
+            if single[s]:
+                # the one pair that writes this block marks what kron keeps
+                stored[:, off[s]:off[s + 1]].reshape(shape)[...] = (
+                    q_struct[:, None, :, None] & prev_stored[src])
+    stored |= slab != 0
+    return _Level(slab.shape[0], prev.width, slab=slab, stored=stored)
+
+
+def _merged_level(mats, live, prev, off, single) -> _Level:
+    """Accumulate a level by sorting the keys of its products.
+
+    Each term's products come one row of Q_l at a time; a stable sort
+    keeps every key's terms in ascending l, and they are summed left to
+    right from the first, not from 0.0.
+    """
+    d = mats[0].shape[0]
+    width = prev.width
+    n_levels = len(off) - 2
+    rows, cols, vals = prev.entries()
+    blocks = np.searchsorted(off, cols, side="right") - 1
+    keys, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for ell in live:
+        q = mats[ell]
+        keep = cols < off[n_levels - ell + 1]
+        blk = blocks[keep]
+        # (prev row, column in block s' = blk) lands in block blk + ell at
+        # Q column * d^blk + the same offset within the block
+        base = rows[keep] * width + (off[blk + ell] - off[blk]) + cols[keep]
+        stride = d**blk
+        for a in range(d):
+            lo, hi = q.indptr[a], q.indptr[a + 1]
+            if lo < hi:
+                keys.append((a * prev.n_rows * width + base
+                             + q.indices[lo:hi, None] * stride).ravel())
+                prods.append((q.data[lo:hi, None] * vals[keep]).ravel())
+    keys, prods = np.concatenate(keys), np.concatenate(prods)
+    order = np.argsort(keys, kind="stable")
+    keys, prods = keys[order], prods[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    count = np.diff(first, append=keys.size)
+    sums = prods[first]
+    for k in range(1, int(count.max(initial=1))):
+        more = count > k
+        sums[more] += prods[first[more] + k]
+    keys = keys[first]
+    blk = np.searchsorted(off, keys % width, side="right") - 1
+    kept = single[blk] | (sums != 0)
+    return _Level(d * prev.n_rows, width, keys=keys[kept], vals=sums[kept])
+
+
+def _next_level(mats, prev: _Level, off: np.ndarray) -> _Level:
+    """K_{j,s} = sum_l kron(Q_l, K_{j-1,s-l}) for s = 0..N from level j-1."""
+    n_levels = len(off) - 2
+    per_block = prev.block_counts(off)
+    # products with an empty factor are skipped, so a block's terms are
+    # the nonempty pairs (Q_l, K_{j-1,s-l})
+    live = [ell for ell, q in enumerate(mats) if q.nnz]
+    n_terms = np.zeros(n_levels + 1, dtype=int)
+    for ell in live:
+        n_terms[ell:] += per_block[:n_levels + 1 - ell] > 0
+    single = n_terms == 1
+    below = np.cumsum(per_block)
+    n_products = sum(mats[ell].nnz * int(below[n_levels - ell])
+                     for ell in live)
+    n_cells = mats[0].shape[0] * prev.n_rows * prev.width
+    # a slab multiplies zeros that kron never forms, harmless only beside
+    # finite factors; a non-finite Q_l always shows in the level below
+    # (level one is Q_l itself) before it meets a nonempty block there
+    values = prev.vals if prev.slab is None else prev.slab
+    if n_cells <= n_products and np.isfinite(values).all():
+        return _dense_level(mats, live, prev, off, per_block, single)
+    return _merged_level(mats, live, prev, off, single)
+
+
 def build_lifted_step(coeffs, n_levels: int,
                       dim_cap: int = DEFAULT_DIM_CAP) -> LiftedStep:
+    """Lift `coeffs` to the truncated recurrence y+ = B y + c.
+
+    B and c match, bit for bit, the level recurrence
+    K_{j,s} = sum_l kron(Q_l, K_{j-1,s-l}) built with scipy's sparse `kron`
+    and CSR sums: each entry is the same products added in ascending l,
+    a block summed from two or more terms drops its exact zeros, and a
+    single-term block keeps every product.  Level j accumulates in one
+    pass: into a dense d^j x sum_s d^s slab when that slab has no more
+    cells than the level has products, sum_l nnz(Q_l) times the entries
+    of level j-1 in blocks s' <= N-l, and level j-1 is finite; by merging
+    sorted product keys otherwise.  B is written once, with sorted int32
+    indices while they fit.
+    """
+    if n_levels < 1:
+        raise ValueError("a lift needs at least one level")
     d = coeffs.d
     dim = delta_dim(d, n_levels)
     if dim > dim_cap:
         raise MemoryError("lifted dimension exceeds the configured cap")
     top = min(coeffs.degree, n_levels)
     mats = [coeffs.as_matrix(ell) for ell in range(top + 1)]
-    # levels[j-1][s] = K_{j,s} for s = 0..N; products with an empty factor
-    # are skipped, so an empty block stays an all-zero matrix
-    levels = [mats + [sparse.csr_matrix((d, d**s))
-                      for s in range(top + 1, n_levels + 1)]]
-    for j in range(2, n_levels + 1):
-        prev = levels[-1]
-        level = []
-        for s in range(n_levels + 1):
-            used = [ell for ell in range(min(top, s) + 1)
-                    if mats[ell].nnz and prev[s - ell].nnz]
-            # summed left to right as they are made, seeded by the first;
-            # functools.reduce keeps its previous operands alive one product
-            # longer, which cost ~4 % of the build at d=3, degree 3, N=5
-            terms = (sparse.kron(mats[ell], prev[s - ell], format="csr")
-                     for ell in used)
-            level.append(sum(terms, next(terms)) if used
-                         else sparse.csr_matrix((d**j, d**s)))
+    # a level's column offsets: block s = 0..N is d^s wide
+    off = np.concatenate([[0], np.cumsum(d ** np.arange(n_levels + 1))])
+    # level 0 is K_{0,0} = [1], so level one is K_{1,s} = Q_s * 1.0 = Q_s
+    level = _Level(1, int(off[-1]), keys=np.zeros(1, dtype=np.int64),
+                   vals=np.ones(1))
+    levels = []
+    for _ in range(n_levels):
+        level = _next_level(mats, level, off)
         levels.append(level)
-    b_matrix = sparse.bmat([level[1:] for level in levels], format="csr")
-    c_vector = np.concatenate([level[0].toarray().ravel() for level in levels])
+    counts = np.concatenate([lv.row_counts() for lv in levels])
+    nnz = int(counts.sum())
+    index_dtype = (np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max
+                   else np.int64)
+    indptr = np.zeros(dim + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz)
+    row = 0
+    for lv in levels:
+        lo, hi = indptr[row], indptr[row + lv.n_rows]
+        lv.write(indices[lo:hi], data[lo:hi])
+        row += lv.n_rows
+    b_matrix = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    b_matrix.has_sorted_indices = True
+    c_vector = np.concatenate([lv.constant() for lv in levels])
     return LiftedStep(b_matrix, c_vector, d, n_levels)
 
 

@@ -87,6 +87,10 @@ def load_config(path: str | None) -> dict:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key} in [{section}]: {raw!r}") from exc
+    # a lift has at least one level; the cutoff search starts at two
+    for key, least in (("n_levels", 1), ("n_max", 2)):
+        if resolved["instance"][key] < least:
+            raise ConfigError(f"{key} in [instance] must be at least {least}")
     return resolved
 
 

@@ -218,6 +218,12 @@ class FoldedInstance:
         return StepMonitor(self.tau_s, self.tau_c, self.big_l)
 
     def build_expansion(self, p_s, p_c) -> PolynomialMapCoeffs:
+        # the expansion is step 0's map, so it stands for every step only
+        # when the schedule is uniform
+        sched = self.sched
+        for rates in (sched.eta_delta, sched.eta_u, sched.alpha):
+            if rates.size and not np.allclose(rates, rates[0]):
+                raise ValueError("the folded step assumes a uniform schedule")
         polys = structural_step_polys(0, self.sched, self.grads, p_s, p_c)
         polys = recentre_polys(polys, self.center, self.scale)
         coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-14)

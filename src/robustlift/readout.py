@@ -350,6 +350,8 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     inequality.  Hypothesis failures mark the certificate, they do not
     raise.
     """
+    if n_max < 2:
+        raise ValueError("the cutoff search needs n_max >= 2")
     rng = np.random.default_rng(seed)
     sched = instance.sched
     grads = instance.grads

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from robustlift import carleman
 from robustlift.carleman import (
     LiftedStep,
     TailReport,
@@ -20,6 +22,11 @@ from robustlift.carleman import (
     tail_constant_and_cutoff,
 )
 from robustlift.dynamics import PolynomialMapCoeffs
+from robustlift.instances import (
+    certify_instance,
+    folded_demo_instance,
+    random_coeff_map,
+)
 from robustlift.multipoly import MultiPoly
 
 RNG = np.random.default_rng(23)
@@ -95,6 +102,11 @@ class TestLiftLayout:
     def test_dim_cap_enforced(self):
         with pytest.raises(MemoryError):
             lift_state(np.zeros(10), 12, dim_cap=10_000)
+
+    @pytest.mark.parametrize("n_levels", [0, -2])
+    def test_no_levels_refused(self, n_levels):
+        with pytest.raises(ValueError, match="at least one level"):
+            lift_state(np.array([0.3, -0.7]), n_levels)
 
 
 class TestTransferBlocks:
@@ -179,6 +191,11 @@ class TestLiftedStep:
         expect = q1 @ y[:2] + q2 @ y[2:6] + coeffs.constant_vector()
         np.testing.assert_allclose(out[:2], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("n_levels", [0, -2])
+    def test_no_levels_refused(self, n_levels):
+        with pytest.raises(ValueError, match="at least one level"):
+            build_lifted_step(scalar_map(0.5), n_levels)
+
     def test_step_reproduces_exact_lift_on_linear(self):
         a = np.array([[0.5, 0.1], [0.0, 0.4]])
         x0 = MultiPoly.variable(2, 0)
@@ -189,6 +206,176 @@ class TestLiftedStep:
         v = RNG.uniform(-1, 1, 2)
         np.testing.assert_allclose(step.apply(lift_state(v, 4)),
                                    lift_state(a @ v, 4), atol=1e-12)
+
+
+def _kron_reference(coeffs, n_levels):
+    """B and c as scipy assembles them: kron per block, CSR sums, bmat."""
+    d = coeffs.d
+    top = min(coeffs.degree, n_levels)
+    mats = [coeffs.as_matrix(ell) for ell in range(top + 1)]
+    levels = [mats + [sparse.csr_matrix((d, d**s))
+                      for s in range(top + 1, n_levels + 1)]]
+    for j in range(2, n_levels + 1):
+        prev = levels[-1]
+        level = []
+        for s in range(n_levels + 1):
+            used = [ell for ell in range(min(top, s) + 1)
+                    if mats[ell].nnz and prev[s - ell].nnz]
+            terms = (sparse.kron(mats[ell], prev[s - ell], format="csr")
+                     for ell in used)
+            level.append(sum(terms, next(terms)) if used
+                         else sparse.csr_matrix((d**j, d**s)))
+        levels.append(level)
+    b_matrix = sparse.bmat([level[1:] for level in levels], format="csr")
+    c_vector = np.concatenate([level[0].toarray().ravel() for level in levels])
+    return b_matrix, c_vector
+
+
+def assert_same_lift(coeffs, n_levels):
+    ref_b, ref_c = _kron_reference(coeffs, n_levels)
+    step = build_lifted_step(coeffs, n_levels)
+    b = step.b_matrix
+    assert type(b) is type(ref_b) and b.shape == ref_b.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(b, name), getattr(ref_b, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    assert b.has_sorted_indices and ref_b.has_sorted_indices
+    assert step.c_vector.dtype == ref_c.dtype
+    assert step.c_vector.tobytes() == ref_c.tobytes()
+    return ref_b
+
+
+def shipped_coeffs(instance):
+    polys = instance.design_polys(0.05, 0.05) if instance.uses_fold \
+        else (None, None)
+    return instance.build_expansion(*polys)
+
+
+@pytest.fixture
+def level_routes(monkeypatch):
+    """Count the levels each accumulation route builds."""
+    calls = {"dense": 0, "merged": 0}
+    for route in calls:
+        name = f"_{route}_level"
+
+        def spy(*args, _inner=getattr(carleman, name), _route=route):
+            calls[_route] += 1
+            return _inner(*args)
+        monkeypatch.setattr(carleman, name, spy)
+    return calls
+
+
+class TestKronDifferential:
+    """The one-pass lift against the kron recurrence, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]),
+           degree=st.integers(1, 3), n_levels=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_ladder(self, seed, d, degree, n_levels):
+        coeffs = random_coeff_map(np.random.default_rng(seed), d, degree)
+        assert_same_lift(coeffs, n_levels)
+
+    def test_saturated_toy_merges_sparse_levels(self, level_routes):
+        coeffs = shipped_coeffs(certify_instance(50))
+        for n_levels in range(1, 17):
+            assert_same_lift(coeffs, n_levels)
+        # at N=16 a dense top level would hold 2^16 x 2^17 cells
+        assert level_routes["dense"] == 0
+        assert level_routes["merged"] == sum(range(1, 17))
+
+    def test_folded_demo_fills_dense_slabs(self, level_routes):
+        coeffs = shipped_coeffs(folded_demo_instance(6))
+        for n_levels in range(1, 10):
+            assert_same_lift(coeffs, n_levels)
+        assert level_routes["dense"] > 0 and level_routes["merged"] > 0
+
+    @pytest.mark.parametrize("n_levels", [2, 3, 4, 5])
+    def test_cancelling_block_drops_its_zero(self, n_levels):
+        # (x + 1 - x^2/2)^2 has no x^2 term: K_{2,2} sums to exactly zero
+        x = MultiPoly.variable(1, 0)
+        coeffs = PolynomialMapCoeffs.from_coordinate_polys(
+            [1.0 + x - 0.5 * x * x])
+        ref = assert_same_lift(coeffs, n_levels)
+        if n_levels == 2:
+            assert ref.nnz == 3
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4])
+    def test_underflowing_single_term_block_keeps_its_zeros(self, n_levels):
+        x = MultiPoly.variable(1, 0)
+        coeffs = PolynomialMapCoeffs.from_coordinate_polys(
+            [1e-170 * x + 1e-170 * x * x - 3e-170])
+        ref = assert_same_lift(coeffs, n_levels)
+        # 1e-170 * 1e-170 underflows in K_{2,0}; single-term blocks built
+        # on it, like K_{3,1} = kron(Q_1, K_{2,0}), store zeros (a -0.0 at N=4)
+        if n_levels >= 3:
+            assert (ref.data == 0).any()
+        if n_levels == 4:
+            assert np.signbit(ref.data[ref.data == 0]).any()
+
+    def test_underflowing_maps_with_dropped_degrees(self, level_routes):
+        # coefficients near 1e-165 make products underflow to signed zeros,
+        # and dropping whole degrees leaves empty blocks beside full ones
+        stored_zeros = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d, degree = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            drawn = random_coeff_map(rng, d, degree)
+            scale = 10.0 ** rng.uniform(-180, -150)
+            terms = {ell: {beta: scale * c for beta, c in block.items()}
+                     for ell, block in drawn.terms.items()
+                     if rng.random() >= 0.35}
+            if not terms:
+                continue
+            coeffs = PolynomialMapCoeffs(d, terms)
+            for n_levels in range(1, 5):
+                dense = level_routes["dense"]
+                ref = assert_same_lift(coeffs, n_levels)
+                if level_routes["dense"] > dense and (ref.data == 0).any():
+                    stored_zeros += 1
+        assert stored_zeros > 0
+
+    def test_non_finite_factors(self):
+        # linear coefficients of 1e250 or inf next to zeroed entries: a
+        # dense slab would multiply a zero by inf where kron never does
+        non_finite = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 4))
+            terms = {}
+            for ell, block in random_coeff_map(rng, d, 2).terms.items():
+                terms[ell] = {}
+                for beta, c in block.items():
+                    c = np.where(rng.random(d) < 0.3, 0.0, c)
+                    if ell == 1 and rng.random() < 0.5:
+                        c[0] = np.inf if seed % 3 == 0 else c[0] * 1e250
+                    terms[ell][beta] = c
+            coeffs = PolynomialMapCoeffs(d, terms)
+            for n_levels in range(2, 5):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = assert_same_lift(coeffs, n_levels)
+                non_finite += not np.isfinite(ref.data).all()
+        assert non_finite > 0
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 4, 5])
+    def test_empty_middle_degree(self, n_levels):
+        x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        coeffs = PolynomialMapCoeffs.from_coordinate_polys(
+            [0.1 + 0.3 * x0 + 0.2 * x0 * x0 * x1,
+             -0.2 * x1 + 0.1 * x1 * x1 * x1])
+        assert coeffs.as_matrix(2).nnz == 0
+        assert_same_lift(coeffs, n_levels)
+
+    def test_no_scipy_kron_or_bmat(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lift went back to scipy block assembly")
+
+        monkeypatch.setattr(sparse, "kron", refuse)
+        monkeypatch.setattr(sparse, "bmat", refuse)
+        window = random_coeff_map(np.random.default_rng(5), 3, 3)
+        assert build_lifted_step(window, 5).b_matrix.nnz > 0
+        folded = shipped_coeffs(folded_demo_instance(6))
+        assert build_lifted_step(folded, 5).b_matrix.nnz > 0
 
 
 class TestRecurrence:

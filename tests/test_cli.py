@@ -55,6 +55,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["n_levels = 0", "n_levels = -2",
+                                      "n_max = 1"])
+    def test_lift_sizes_outside_domain_rejected(self, tmp_path, text):
+        path = write_config(tmp_path, f"[instance]\n{text}\n")
+        with pytest.raises(ConfigError, match=text.split()[0]):
+            load_config(path)
+
+    def test_smallest_lift_sizes_accepted(self, tmp_path):
+        path = write_config(tmp_path, "[instance]\nn_levels = 1\nn_max = 2\n")
+        section = load_config(path)["instance"]
+        assert (section["n_levels"], section["n_max"]) == (1, 2)
+
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFoundError):
             load_config("/nonexistent/run.ini")
@@ -92,6 +104,20 @@ class TestExitCodes:
         code, _ = run(["build-lift", "--config", cfg], tmp_path)
         assert code == 4
         assert "resource limit:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build-lift", "solve"])
+    @pytest.mark.parametrize("n_levels", [0, -2])
+    def test_no_lift_levels_is_two(self, tmp_path, capsys, command, n_levels):
+        cfg = write_config(tmp_path, f"[instance]\nn_levels = {n_levels}\n")
+        code, _ = run([command, "--config", cfg], tmp_path)
+        assert code == 2
+        assert "n_levels" in capsys.readouterr().err
+
+    def test_single_cutoff_is_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[instance]\nn_max = 1\n")
+        code, _ = run(["certify", "--config", cfg], tmp_path)
+        assert code == 2
+        assert "n_max" in capsys.readouterr().err
 
     def test_flagged_certificate_still_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[instance]\nt_window = 6\n"

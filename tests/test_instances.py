@@ -1,5 +1,7 @@
 """Ready-made instances: the certified run, its folded twin, random draws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestFoldedDemo:
         # claimed split is the worse of planned and delivered
         assert cert.measurements["delta_s"] >= cert.budget.delta_s
         assert cert.measurements["eps_base_step"] > cert.budget.base_target
+
+    @pytest.mark.parametrize("rates", ["eta_u", "eta_delta", "alpha"])
+    def test_nonuniform_schedule_rejected(self, rates):
+        # a rate decaying from 1 to 0.3 times its start over the window:
+        # step 0's map would stand in for all six steps
+        inst = folded_demo_instance(6)
+        decayed = getattr(inst.sched, rates) * np.linspace(1.0, 0.3, 6)
+        inst.sched = replace(inst.sched, **{rates: decayed})
+        p_s, p_c = inst.design_polys(0.05, 0.05)
+        with pytest.raises(ValueError, match="uniform schedule"):
+            inst.build_expansion(p_s, p_c)
+        with pytest.raises(ValueError, match="uniform schedule"):
+            run_pipeline_certificate(inst, 0.3, mode="state")
 
     def test_expansion_degree_capped(self):
         inst = folded_demo_instance()

@@ -191,6 +191,11 @@ class TestPipelineCertificate:
         assert not cert.passed
         assert cert.terminal["measured_error_normalized"] == 0.0
 
+    @pytest.mark.parametrize("n_max", [1, 0])
+    def test_cutoff_search_needs_two_levels(self, n_max):
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            run_pipeline_certificate(certify_instance(5), 0.05, n_max=n_max)
+
     def test_certificate_json_roundtrip(self):
         cert = run_pipeline_certificate(certify_instance(10), 0.05)
         payload = json.loads(cert.to_json())
