@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 from scipy import sparse
@@ -70,12 +71,23 @@ class HorizonSystem:
         return 1.0 / (1.0 + self.rho)
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
-        """M y, applied block by block from the steps."""
+        """M y, applied block by block from the steps.
+
+        A run of consecutive identical step objects, such as the
+        `[step] * T` of a uniform window, applies its B to all of the
+        run's blocks in one sparse-dense product.  Each row of that
+        product sums the same terms in the same order as one B @ y_t,
+        so the result is the per-step loop's, bit for bit.
+        """
         blocks = np.asarray(y, dtype=float).reshape(self.t_window + 1,
                                                     self.block_dim)
         out = blocks.copy()
-        for t, step in enumerate(self.steps):
-            out[t + 1] -= step.b_matrix @ blocks[t]
+        t = 0
+        for _, run in groupby(self.steps, key=id):
+            run = list(run)
+            e = t + len(run)
+            out[t + 1:e + 1] -= (run[0].b_matrix @ blocks[t:e].T).T
+            t = e
         return out.reshape(-1)
 
     @cached_property
@@ -99,8 +111,11 @@ class HorizonSystem:
         dim = self.block_dim
         diag = np.arange(self.dim)
         rows, cols, vals = [diag], [diag], [np.ones(self.dim)]
+        coo = {}  # one COO copy per distinct step object
         for t, step in enumerate(self.steps):
-            b = step.b_matrix.tocoo()
+            if id(step) not in coo:
+                coo[id(step)] = step.b_matrix.tocoo()
+            b = coo[id(step)]
             rows.append(b.row + (t + 1) * dim)
             cols.append(b.col + t * dim)
             vals.append(-b.data)

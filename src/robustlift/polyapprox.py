@@ -10,11 +10,13 @@ Two building blocks are produced here:
 
 Construction is Chebyshev interpolation of an erf-mollified sign whose
 width is tied to the gap, followed by an incremental degree search until
-an explicit verifier certifies the requested bounds.  Polynomials are
-kept in the odd Chebyshev basis of their interval; near-minimax
-approximants of the degrees needed here have astronomically large
-monomial coefficients, so a monomial form only exists as a low-degree
-export convenience.
+an explicit verifier certifies the requested bounds.  The grid verifier
+reads each clause's grid in fixed-size chunks: a final certificate reads
+every chunk, while a search candidate, of which only pass or fail is
+kept, stops at its first failing chunk.  Polynomials are kept in the odd
+Chebyshev basis of their interval; near-minimax approximants of the
+degrees needed here have astronomically large monomial coefficients, so
+a monomial form only exists as a low-degree export convenience.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ DEFAULT_C_S = 4.0
 DEFAULT_C_LITTLE_S = 2.0
 
 _MONOMIAL_EXPORT_MAX_DEGREE = 60
+
+# grid points per chebval call when a clause is scanned: large enough that
+# chebval's per-call cost stays small beside a full certificate, small
+# enough that a failing search candidate stops well before its grid ends
+_GRID_CHUNK = 8192
 
 
 class PolyDesignError(RuntimeError):
@@ -271,24 +278,62 @@ def _target_series(poly: OddPolynomial, target: str) -> np.ndarray:
     return full
 
 
-def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float) -> CheckResult:
+def _grid_chunks(grids) -> Iterator[np.ndarray]:
+    """The points of np.linspace(a, b, n) for each (a, b, n), _GRID_CHUNK at a time.
+
+    Each chunk repeats numpy's own arithmetic (index * step + a, the
+    subnormal-step branch, the exact endpoint), so the chunks of a grid
+    concatenate to its np.linspace bit for bit.
+    """
+    for a, b, n in grids:
+        delta = b - a
+        step = delta / (n - 1)
+        for lo in range(0, n, _GRID_CHUNK):
+            hi = min(lo + _GRID_CHUNK, n)
+            xs = np.arange(lo, hi, dtype=float)
+            if step == 0:
+                xs /= n - 1
+                xs *= delta
+            else:
+                xs *= step
+            xs += a
+            if hi == n:
+                xs[-1] = b
+            yield xs
+
+
+def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
+                stop_at_fail: bool = False) -> CheckResult:
+    """Grid sup of |P - target| on the clause, inflated to a sound bound.
+
+    The grid is read chunk by chunk.  With stop_at_fail the scan returns
+    a failed result at the first chunk whose running sup plus the
+    inflation exceeds the bound; its observed_sup then covers only the
+    chunks read.  That early fail is final: the sup can only grow, and
+    a NaN value or inflation fails the clause.
+    """
     series = _target_series(poly, check.target)
     deriv_sup = float(np.sum(np.abs(C.chebder(series)))) / poly.halfwidth
-    sup = 0.0
+    grids = []
     inflation = 0.0
     for a, b in check.intervals:
         if b < a:
             raise ValueError("interval endpoints out of order")
         n = max(2, int(math.ceil((b - a) * density)) + 1)
-        xs = np.linspace(a, b, n)
-        vals = np.abs(C.chebval(xs / poly.halfwidth, series))
-        sup = max(sup, float(vals.max()))
+        grids.append((float(a), float(b), n))
         h = (b - a) / (n - 1)
-        inflation = max(inflation, 0.5 * h * deriv_sup)
+        # np.maximum, not max(): max(x, nan) is x, and a NaN must fail
+        inflation = float(np.maximum(inflation, 0.5 * h * deriv_sup))
+    limit = check.bound + 1e-12 * max(1.0, check.bound)
+    sup = 0.0
+    for xs in _grid_chunks(grids):
+        vals = np.abs(C.chebval(xs / poly.halfwidth, series))
+        sup = float(np.maximum(sup, vals.max()))
+        if stop_at_fail and not sup + inflation <= limit:
+            break
     certified = sup + inflation
-    tol = 1e-12 * max(1.0, check.bound)
     return CheckResult(check.label, check.target, check.bound, sup, inflation,
-                       certified, certified <= check.bound + tol)
+                       certified, certified <= limit)
 
 
 def _critical_check(poly: OddPolynomial, check: PolyCheck) -> CheckResult:
@@ -317,21 +362,27 @@ def _clause_results(
     checks: list[PolyCheck] | tuple[PolyCheck, ...],
     grid_density: float,
     mode: str,
+    stop_at_fail: bool = False,
 ) -> tuple[str, Iterator[CheckResult]]:
     """Resolved mode and a lazy iterator of one CheckResult per clause.
 
     A clause is evaluated only when the iterator reaches it, so a caller
-    that stops at the first failed clause skips the rest.
+    that stops at the first failed clause skips the rest.  With
+    stop_at_fail a grid clause also stops at its first failing chunk,
+    for callers that need only pass or fail.
     """
     if not checks:
         raise ValueError("need at least one clause to certify")
     if mode == "auto":
         tightest = min(c.bound for c in checks)
         mode = "critical" if tightest < 1e-5 else "grid"
+    if mode == "grid" and not math.isfinite(grid_density):
+        raise ValueError(f"grid_density must be finite, got {grid_density!r}")
     if mode == "grid" and grid_density < 1e4:
         raise ValueError("grid_density must be at least 1e4 per unit length")
     if mode == "grid":
-        return mode, (_grid_check(poly, c, grid_density) for c in checks)
+        return mode, (_grid_check(poly, c, grid_density, stop_at_fail)
+                      for c in checks)
     if mode == "critical":
         return mode, (_critical_check(poly, c) for c in checks)
     raise ValueError(f"unknown mode {mode!r}")
@@ -346,8 +397,9 @@ def verify_poly_spec(
     """Certify sup bounds of P minus a target over interval unions.
 
     Grid mode evaluates on a grid of the given density (points per unit
-    length, >= 1e4) and inflates by h * sup|P'| / 2, which is a sound
-    covering bound.  Critical mode enumerates the extrema instead and is
+    length, finite and >= 1e4), read in chunks, and inflates by
+    h * sup|P'| / 2, which is a sound covering bound; a NaN on the grid
+    fails its clause.  Critical mode enumerates the extrema instead and is
     selected automatically when a requested bound is too small for any
     practical grid.  An empty clause list is refused.
     """
@@ -399,7 +451,9 @@ def _search_sign(
 ) -> tuple[OddPolynomial, float]:
     """First certified unit-interval candidate of the degree walk, and its density.
 
-    Each candidate's clauses run only up to the first that fails.
+    Each candidate's clauses run only up to the first that fails, and a
+    grid clause only up to its first failing chunk: the search keeps
+    pass or fail, never the partial certificate.
     """
     tau_t = spec.tau / spec.halfwidth
     target, w = _mollified_sign(tau_t, spec.delta)
@@ -411,7 +465,8 @@ def _search_sign(
         full[0::2] = 0.0  # odd target: even coefficients are rounding noise
         cand = OddPolynomial(full[1::2], 1.0)
         density = _design_density(cand, grid_density, spec.delta)
-        _, results = _clause_results(cand, checks_unit, density, mode)
+        _, results = _clause_results(cand, checks_unit, density, mode,
+                                     stop_at_fail=True)
         if all(r.passed for r in results):
             return cand, density
         step = max(2, int(0.08 * deg) & ~1)
@@ -431,8 +486,9 @@ def design_sign_poly(
 
     Interpolates the mollified target at Chebyshev points, keeps the odd
     part, and walks the degree up until the three clauses hold on the unit
-    interval; a candidate's clauses stop at the first that fails.  The
-    returned polynomial carries a full certificate of all three clauses on
+    interval; a candidate's clauses stop at the first that fails, and a
+    grid clause at its first failing chunk.  The returned polynomial
+    carries a full certificate of all three clauses, every chunk read, on
     the requested interval.  Raises PolyDesignError past max_degree.
     """
     cand, density = _search_sign(spec, max_degree, grid_density, mode)

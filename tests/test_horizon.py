@@ -108,6 +108,31 @@ class TestAssembly:
             np.testing.assert_array_equal(got.indices, ref.indices)
             np.testing.assert_array_equal(got.data, ref.data * scale)
 
+    @pytest.mark.parametrize("pattern", ["", "aaabba", "ab", "aaaa"])
+    def test_matvec_matches_per_step_loop(self, pattern):
+        # runs of one step object share one sparse-dense product; the
+        # per-step loop of B @ y_t is the bitwise reference
+        steps = {name: build_lifted_step(quadratic_coeffs(3, seed), 3)
+                 for seed, name in enumerate("ab")}
+        window = [steps[name] for name in pattern]
+        system = assemble_horizon(window, lift_state([0.1, -0.2, 0.05], 3),
+                                  0.5, dims=(3, 3))
+        y = np.random.default_rng(3).standard_normal(system.dim)
+        blocks = y.reshape(len(window) + 1, system.block_dim)
+        want = blocks.copy()
+        for t, step in enumerate(window):
+            want[t + 1] -= step.b_matrix @ blocks[t]
+        assert system.matvec(y).tobytes() == want.reshape(-1).tobytes()
+        grid = [[None] * (len(window) + 1) for _ in range(len(window) + 1)]
+        for t in range(len(window) + 1):
+            grid[t][t] = sparse.identity(system.block_dim, format="csr")
+            if t >= 1:
+                grid[t][t - 1] = -window[t - 1].b_matrix
+        ref = sparse.bmat(grid, format="csr")
+        np.testing.assert_array_equal(system.matrix.indptr, ref.indptr)
+        np.testing.assert_array_equal(system.matrix.indices, ref.indices)
+        np.testing.assert_array_equal(system.matrix.data, ref.data)
+
     def test_preflight_refuses_oversized_stack(self, monkeypatch):
         _, step, system = toy_system(t_window=7)
         nnz = 8 * system.block_dim + 7 * step.b_matrix.nnz

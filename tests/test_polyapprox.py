@@ -56,6 +56,30 @@ class TestVerifier:
                 [PolyCheck(((-1.0, 1.0),), "zero", 1.0, "b")],
                 grid_density=100.0, mode="grid")
 
+    @pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["grid", "auto"])
+    def test_non_finite_grid_density_rejected(self, density, mode):
+        # NaN slips past a "< 1e4" floor, and inf overflows math.ceil
+        with pytest.raises(ValueError, match="grid_density must be finite"):
+            verify_poly_spec(
+                cheb_identity(),
+                [PolyCheck(((0.3, 0.3), (-1.0, 1.0)), "zero", 1.0, "b")],
+                grid_density=density, mode=mode)
+
+    def test_nan_on_the_grid_fails_its_clause(self):
+        # inf - inf in the Clenshaw recurrence and 0 * inf in the
+        # inflation both give NaN; neither may certify the clause
+        poly = OddPolynomial(np.array([1e308, -1e308, 1e308, -1e308, 1e308]))
+        checks = [PolyCheck(((0.3, 0.3),), "zero", 1.0, "b")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = verify_poly_spec(poly, checks, mode="grid")
+            stopped = polyapprox._grid_check(poly, checks[0], 1e4, True)
+        (res,) = cert.checks
+        assert math.isnan(res.observed_sup) and math.isnan(res.inflation)
+        assert math.isnan(res.certified_sup)
+        assert not res.passed and not cert.passed
+        assert not stopped.passed
+
     @pytest.mark.parametrize("mode", ["grid", "critical", "auto"])
     def test_empty_check_list_rejected(self, mode):
         with pytest.raises(ValueError, match="at least one clause"):
@@ -176,6 +200,90 @@ def _full_verify_clip(spec, grid_density=1e4, mode="auto"):
         cand, clip_checks(spec), density, mode))
 
 
+def _one_shot_grid_check(poly, check, density):
+    """Reference grid clause: the whole grid of each interval in one chebval.
+
+    Its Python max() drops NaNs, so it is a reference on finite grids only.
+    """
+    series = polyapprox._target_series(poly, check.target)
+    deriv_sup = float(np.sum(np.abs(C.chebder(series)))) / poly.halfwidth
+    sup = 0.0
+    inflation = 0.0
+    for a, b in check.intervals:
+        n = max(2, int(math.ceil((b - a) * density)) + 1)
+        xs = np.linspace(a, b, n)
+        vals = np.abs(C.chebval(xs / poly.halfwidth, series))
+        sup = max(sup, float(vals.max()))
+        h = (b - a) / (n - 1)
+        inflation = max(inflation, 0.5 * h * deriv_sup)
+    certified = sup + inflation
+    tol = 1e-12 * max(1.0, check.bound)
+    return polyapprox.CheckResult(check.label, check.target, check.bound, sup,
+                                  inflation, certified,
+                                  certified <= check.bound + tol)
+
+
+def _bits(result):
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in vars(result).values())
+
+
+CHUNK = polyapprox._GRID_CHUNK
+GRID_SIZES = [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+
+class TestChunkedGrid:
+    @pytest.mark.parametrize("a, b, n", [
+        (-0.5, 0.5, 2), (-0.5, 0.5, CHUNK - 1), (0.1, 0.7, CHUNK),
+        (-1.0, 0.3, CHUNK + 1), (-2.5, 2.5, 2 * CHUNK + 3), (0.3, 0.3, 7),
+        (0.0, 5e-324, 4), (1.0, 1.0 + 2e-308, CHUNK + 5),
+    ])
+    def test_chunks_concatenate_to_linspace(self, a, b, n):
+        chunks = list(polyapprox._grid_chunks([(a, b, n)]))
+        assert all(len(xs) <= CHUNK for xs in chunks)
+        assert (np.concatenate(chunks).tobytes()
+                == np.linspace(a, b, n).tobytes())
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    @pytest.mark.parametrize("target", ["zero", "plus_one", "minus_one",
+                                        "identity"])
+    def test_full_scan_matches_one_shot(self, n, target):
+        poly = design_sign_poly(SignSpec(1.0, 0.2, 0.05))
+        check = PolyCheck(((-0.5, 0.5),), target, 1.0, "c")
+        density = float(n - 1)  # the interval has length 1: n points
+        got = polyapprox._grid_check(poly, check, density)
+        assert _bits(got) == _bits(_one_shot_grid_check(poly, check, density))
+
+    @pytest.mark.parametrize("target", ["zero", "plus_one", "identity"])
+    def test_two_interval_clause_matches_one_shot(self, target):
+        poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
+        check = PolyCheck(((-1.7, -0.4), (0.2, 1.9)), target, 0.5, "c")
+        for density in (1e4, 3 * CHUNK + 0.5):
+            got = polyapprox._grid_check(poly, check, density)
+            want = _one_shot_grid_check(poly, check, density)
+            assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    @pytest.mark.parametrize("interval, target", [
+        ((0.0, 1.0), "plus_one"),    # sup at the first point
+        ((-1.0, 0.0), "minus_one"),  # sup at the last point
+        ((-1.0, 1.0), "zero"),
+    ])
+    def test_early_stop_agrees_with_full_scan(self, n, interval, target):
+        poly = design_sign_poly(SignSpec(1.0, 0.2, 0.05))
+        density = float(n - 1) / (interval[1] - interval[0])
+        base = polyapprox._grid_check(
+            poly, PolyCheck((interval,), target, 1.0), density)
+        for scale in (0.5, 0.999, 1.0, 1.001, 2.0):
+            check = PolyCheck((interval,), target, scale * base.certified_sup)
+            full = polyapprox._grid_check(poly, check, density)
+            stopped = polyapprox._grid_check(poly, check, density, True)
+            assert stopped.passed == full.passed
+            assert stopped.observed_sup <= full.observed_sup
+            if full.passed:
+                assert _bits(stopped) == _bits(full)
+
+
 class TestSearchMatchesFullVerify:
     @pytest.mark.parametrize("spec", [
         SignSpec(1.0, 0.2, 0.05),
@@ -199,8 +307,9 @@ class TestSearchMatchesFullVerify:
         calls = []
         grid_check = polyapprox._grid_check
 
-        def counted(poly, check, density):
-            result = grid_check(poly, check, density)
+        def counted(poly, check, density, stop_at_fail=False):
+            assert stop_at_fail
+            result = grid_check(poly, check, density, stop_at_fail)
             calls.append((poly.degree, check.label, result.passed))
             return result
 
@@ -219,6 +328,35 @@ class TestSearchMatchesFullVerify:
             assert all(passed for _, passed in head) and not stopped
         assert any(len(results) == 1 for results in failed)
         assert len(calls) < 3 * len(by_degree)
+
+    def test_failing_candidates_read_part_of_their_grids(self, monkeypatch):
+        # chebval input sizes of the clip's inner search, per candidate,
+        # against the full grids of the clauses each candidate started
+        read, grid = {}, {}
+        chebval, grid_check = C.chebval, polyapprox._grid_check
+
+        def counted_chebval(x, c, tensor=True):
+            read[len(c) - 1] = read.get(len(c) - 1, 0) + len(x)
+            return chebval(x, c, tensor)
+
+        def counted_check(poly, check, density, stop_at_fail=False):
+            n = sum(max(2, int(math.ceil((b - a) * density)) + 1)
+                    for a, b in check.intervals)
+            grid[poly.degree] = grid.get(poly.degree, 0) + n
+            return grid_check(poly, check, density, stop_at_fail)
+
+        monkeypatch.setattr(polyapprox.C, "chebval", counted_chebval)
+        monkeypatch.setattr(polyapprox, "_grid_check", counted_check)
+        spec = ClipSpec(2.0, 0.1, 0.02)
+        polyapprox._search_sign(
+            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
+            4000, 1e4, "auto")
+        assert list(read) == list(grid)
+        *failed, passed = grid
+        assert read[passed] == grid[passed]
+        assert all(read[deg] < grid[deg] for deg in failed)
+        assert sum(read[deg] for deg in failed) < 0.5 * sum(
+            grid[deg] for deg in failed)
 
 
 class TestBudgetSplit:
