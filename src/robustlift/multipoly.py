@@ -158,25 +158,58 @@ class MultiPoly:
         return vals[0] if scalar else vals
 
     def substitute(self, args: list["MultiPoly"]) -> "MultiPoly":
-        """Compose: substitute args[i] for variable i (polynomial composition)."""
+        """Compose: substitute args[i] for variable i (polynomial composition).
+
+        Each nonzero monomial c * v^e becomes c times the product of the
+        powers args[i]**e[i].  The first nonzero power is scaled by c in
+        one pass, zeros skipped; the later ones are multiplied on with
+        ``*``.  The terms are summed in place, in C order of the
+        monomials, into one grid of +0.0 that reaches on each axis as far
+        as the longest term.  That is the same arithmetic, in the same
+        order, as adding the terms one by one with ``+``, so the result
+        has the same bits and grid shape.  All args must have the same
+        number of variables.
+        """
         if len(args) != self.d:
             raise ValueError("need one substitution polynomial per variable")
+        if len({a.d for a in args}) > 1:
+            raise ValueError("substitution polynomials must share one variable count")
         d_out = args[0].d
-        one = MultiPoly.constant(d_out, 1.0)
-        powers: list[list[MultiPoly]] = [[one] for _ in range(self.d)]
-        out = MultiPoly.zero(d_out)
-        for idx in np.ndindex(self.coeffs.shape):
+        nonzero = np.argwhere(self.coeffs != 0.0)  # C order
+        if not len(nonzero):
+            return MultiPoly.zero(d_out)
+        powers: list[list[MultiPoly]] = []
+        growth = np.zeros(d_out, dtype=np.int64)
+        for i, top in enumerate(nonzero.max(axis=0)):
+            chain = [MultiPoly.constant(d_out, 1.0)]
+            while len(chain) <= top:
+                chain.append(chain[-1] * args[i])
+            powers.append(chain)
+            # a product grid grows by each factor's shape minus one
+            extra = np.array([p.coeffs.shape for p in chain]) - 1
+            growth = growth + extra[nonzero[:, i]]
+        shape = tuple(int(s) for s in growth.max(axis=0) + 1)
+        if math.prod(shape) > _MAX_GRID:
+            raise MemoryError("composition grid exceeds cap")
+        out = np.zeros(shape)
+        for idx in map(tuple, nonzero):
             c = self.coeffs[idx]
-            if c == 0.0:
-                continue
-            term = one * c
+            term = None
             for i, e in enumerate(idx):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * args[i])
-                if e:
-                    term = term * powers[i][e]
-            out = out + term
-        return out
+                if not e:
+                    continue
+                power = powers[i][e]
+                if term is None:
+                    term = MultiPoly(np.multiply(
+                        power.coeffs, c, out=np.zeros(power.coeffs.shape),
+                        where=power.coeffs != 0.0))
+                else:
+                    term = term * power
+            if term is None:
+                out[(0,) * d_out] += c
+            else:
+                out[tuple(slice(0, s) for s in term.coeffs.shape)] += term.coeffs
+        return MultiPoly(out)
 
 
 # ----------------------------------------------------------------------

@@ -337,9 +337,16 @@ def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
 
 
 def _critical_check(poly: OddPolynomial, check: PolyCheck) -> CheckResult:
-    """Enumerate extrema of P - target; sound up to root-finding accuracy."""
+    """Enumerate extrema of P - target; sound up to root-finding accuracy.
+
+    A derivative that overflowed has no extrema to enumerate, so the
+    clause fails with NaN sups, as a NaN on the grid does in grid mode.
+    """
     series = _target_series(poly, check.target)
     der = C.chebder(series)
+    if not np.isfinite(der).all():
+        return CheckResult(check.label, check.target, check.bound, math.nan,
+                           math.nan, math.nan, False)
     roots = C.chebroots(der) if len(der) > 1 else np.array([])
     roots = roots[np.abs(roots.imag) < 1e-9].real if np.iscomplexobj(roots) else roots
     sup = 0.0
@@ -349,8 +356,9 @@ def _critical_check(poly: OddPolynomial, check: PolyCheck) -> CheckResult:
         cand = np.concatenate([cand, [ta, tb]])
         # coarse guard grid in case a root was missed numerically
         cand = np.concatenate([cand, np.linspace(ta, tb, 257)])
-        sup = max(sup, float(np.abs(C.chebval(cand, series)).max()))
-    inflation = 1e-13 * max(1.0, sup)
+        # np.maximum, not max(): max(x, nan) is x, and a NaN must fail
+        sup = float(np.maximum(sup, np.abs(C.chebval(cand, series)).max()))
+    inflation = 1e-13 * float(np.maximum(1.0, sup))
     certified = sup + inflation
     tol = 1e-12 * max(1.0, check.bound)
     return CheckResult(check.label, check.target, check.bound, sup, inflation,

@@ -337,6 +337,15 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
     return True
 
 
+def _same_surrogate(a, b) -> bool:
+    """True when two surrogates fold to the same step map: the same
+    odd_coeffs bytes and halfwidth, or both None."""
+    if a is None or b is None:
+        return a is b
+    return (a.odd_coeffs.tobytes() == b.odd_coeffs.tobytes()
+            and a.halfwidth == b.halfwidth)
+
+
 def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
                              n_max: int = 12,
                              max_stacked_nnz: int = horizon.MAX_STACKED_NNZ,
@@ -348,7 +357,9 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     with coarse surrogates; the plan allocates budgets from those with
     margins; the final phase re-measures everything and verifies each
     inequality.  Hypothesis failures mark the certificate, they do not
-    raise.
+    raise.  Each distinct surrogate pair is folded and expanded once: when
+    the final surrogates equal the probe's (fixed surrogates, or none at
+    all), the final phase reuses the probe's expansion.
     """
     if n_max < 2:
         raise ValueError("the cutoff search needs n_max >= 2")
@@ -418,8 +429,12 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
                      np.linalg.norm(dev_exact, axis=1).max()))
 
     # ---- cutoff selection by direct tails; only the cutoff varies, so the
-    # final step map is expanded once
-    coeffs = instance.build_expansion(p_s, p_c)
+    # final step map is expanded once, and not at all when the final
+    # surrogates are the probe's
+    if _same_surrogate(p_s, ps_probe) and _same_surrogate(p_c, pc_probe):
+        coeffs = probe_coeffs
+    else:
+        coeffs = instance.build_expansion(p_s, p_c)
     lam = getattr(instance, "lam", None)
     chosen = None
     for n_levels in range(2, n_max + 1):

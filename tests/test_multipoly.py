@@ -2,6 +2,7 @@
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from robustlift.multipoly import MultiPoly, ring_chebval
@@ -55,6 +56,103 @@ class TestMultiPoly:
         vals = p(z)
         assert np.iscomplexobj(vals)
         np.testing.assert_allclose(p(np.real(z)), np.real(p(np.real(z))))
+
+
+def _substitute_reference(poly: MultiPoly, args: list[MultiPoly]) -> MultiPoly:
+    """Term-by-term composition: each monomial as a ring product of its
+    powers, added to a growing sum with ``+``."""
+    d_out = args[0].d
+    one = MultiPoly.constant(d_out, 1.0)
+    powers = [[one] for _ in range(poly.d)]
+    out = MultiPoly.zero(d_out)
+    for idx in np.ndindex(poly.coeffs.shape):
+        c = poly.coeffs[idx]
+        if c == 0.0:
+            continue
+        term = one * c
+        for i, e in enumerate(idx):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * args[i])
+            if e:
+                term = term * powers[i][e]
+        out = out + term
+    return out
+
+
+# sparse coefficients, products that underflow, signed zeros and infinities
+_COEFF = st.one_of(
+    st.just(0.0), st.just(0.0), st.just(-0.0),
+    st.floats(-2.0, 2.0, allow_subnormal=False),
+    st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda x: x * 1e-160),
+    st.sampled_from([np.inf, -np.inf]),
+)
+
+
+@st.composite
+def _grid(draw, d: int, max_degree: int):
+    shape = tuple(draw(st.integers(1, max_degree + 1)) for _ in range(d))
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(shape)
+
+
+@st.composite
+def _affine_case(draw):
+    # one variable per argument, v_i / s_i + c_i, as recentre_polys builds
+    d = draw(st.integers(1, 3))
+    outer = MultiPoly(draw(_grid(d, 4)))
+    args = []
+    for i in range(d):
+        scale = draw(st.sampled_from([1.0, 45.0, 1.5, 1e160, -0.5]))
+        shift = draw(st.sampled_from([0.0, 0.02, -0.3]) | _COEFF)
+        args.append(MultiPoly.variable(d, i) * (1.0 / scale) + shift)
+    return outer, args
+
+
+@st.composite
+def _multivariate_case(draw):
+    # dense polynomials in every variable for the first arguments, plain
+    # variables for the rest, as structural_step_polys builds its inner map
+    d = draw(st.integers(1, 3))
+    outer = MultiPoly(draw(_grid(d, 4)))
+    n_dense = draw(st.integers(1, d))
+    args = [MultiPoly(draw(_grid(d, 2))) for _ in range(n_dense)]
+    args += [MultiPoly.variable(d, i) for i in range(n_dense, d)]
+    return outer, args
+
+
+class TestSubstituteMatchesReference:
+    def _check(self, outer, args):
+        with np.errstate(all="ignore"):
+            got = outer.substitute(args)
+            ref = _substitute_reference(outer, args)
+        assert got.coeffs.shape == ref.coeffs.shape
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @given(_affine_case())
+    @settings(max_examples=150, deadline=None)
+    def test_affine_args(self, case):
+        self._check(*case)
+
+    @given(_multivariate_case())
+    @settings(max_examples=150, deadline=None)
+    def test_multivariate_args(self, case):
+        self._check(*case)
+
+    def test_all_zero_poly_keeps_unit_grid(self):
+        outer = MultiPoly(np.array([[0.0, -0.0], [0.0, 0.0]]))
+        args = [MultiPoly.variable(2, 1), MultiPoly.variable(2, 0) + 1.0]
+        got = outer.substitute(args)
+        ref = _substitute_reference(outer, args)
+        assert got.coeffs.shape == ref.coeffs.shape == (1, 1)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @pytest.mark.parametrize("d_first, d_second", [(2, 3), (3, 2)])
+    def test_mixed_variable_counts_rejected(self, d_first, d_second):
+        # (2, 3) used to drop a variable silently, (3, 2) to fail in numpy
+        outer = MultiPoly(np.array([[1.0, 2.0], [3.0, 0.0]]))
+        args = [MultiPoly.variable(d_first, 0), MultiPoly.variable(d_second, 1)]
+        with pytest.raises(ValueError, match="one variable count"):
+            outer.substitute(args)
 
 
 class TestRingChebval:

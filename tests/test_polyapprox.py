@@ -80,6 +80,29 @@ class TestVerifier:
         assert not res.passed and not cert.passed
         assert not stopped.passed
 
+    @pytest.mark.parametrize("mode, bound", [("critical", 1.0), ("auto", 1e-7)])
+    def test_overflowed_derivative_fails_critical_clause(self, mode, bound):
+        # the derivative overflows to inf, which chebroots refuses; the
+        # clause fails with NaN sups as it does in grid mode
+        poly = OddPolynomial(np.array([1e308, -1e308, 1e308, -1e308, 1e308]))
+        checks = [PolyCheck(((0.3, 0.3),), "zero", bound, "b")]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = verify_poly_spec(poly, checks, mode=mode)
+        (res,) = cert.checks
+        assert cert.mode == "critical"
+        assert math.isnan(res.observed_sup) and math.isnan(res.inflation)
+        assert math.isnan(res.certified_sup)
+        assert not res.passed and not cert.passed
+
+    def test_critical_sup_keeps_a_nan_value(self):
+        # Python max(0.0, nan) is 0.0; the NaN must reach the result
+        poly = OddPolynomial(np.array([1.0, 0.5]))
+        checks = [PolyCheck(((math.nan, 0.5),), "zero", 10.0, "b")]
+        with np.errstate(invalid="ignore"):
+            res = polyapprox._critical_check(poly, checks[0])
+        assert math.isnan(res.observed_sup) and math.isnan(res.certified_sup)
+        assert not res.passed
+
     @pytest.mark.parametrize("mode", ["grid", "critical", "auto"])
     def test_empty_check_list_rejected(self, mode):
         with pytest.raises(ValueError, match="at least one clause"):

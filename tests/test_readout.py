@@ -2,23 +2,32 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustlift
 from robustlift.carleman import build_lifted_step, lift_state
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
+    CertifyInstance,
     FoldedInstance,
     certify_instance,
     folded_demo_instance,
     random_coeff_map,
 )
+from robustlift.polyapprox import OddPolynomial
 from robustlift.readout import (
     BudgetLine,
     InfeasibleBudgetError,
     PlanInputs,
     _row_access_spot_check,
+    _same_surrogate,
     extract_terminal,
     plan_budgets,
     run_pipeline_certificate,
@@ -234,21 +243,51 @@ class TestPipelineCertificate:
         assert cert.terminal["reconstructed_u"][0] == pytest.approx(
             u, abs=1e-10)
 
-    def test_final_expansion_built_once(self, monkeypatch):
-        # the cutoff loop varies only N: one expansion for the probe, one
-        # for the final phase
+    @staticmethod
+    def _count_expansions(monkeypatch, cls):
         calls = []
-        build = FoldedInstance.build_expansion
+        build = cls.build_expansion
 
         def counted(self, *args):
             calls.append(args)
             return build(self, *args)
 
-        monkeypatch.setattr(FoldedInstance, "build_expansion", counted)
+        monkeypatch.setattr(cls, "build_expansion", counted)
+        return calls
+
+    def test_final_expansion_built_once(self, monkeypatch):
+        # the cutoff loop varies only N, and the fixed surrogates of the
+        # final phase are the probe's: one expansion serves both phases
+        calls = self._count_expansions(monkeypatch, FoldedInstance)
         cert = run_pipeline_certificate(folded_demo_instance(6), 0.3,
                                         mode="state")
         assert cert.n_levels == 5
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_saturated_toy_expands_once(self, monkeypatch):
+        # no surrogates in either phase
+        calls = self._count_expansions(monkeypatch, CertifyInstance)
+        run_pipeline_certificate(certify_instance(50), 0.05)
+        assert calls == [(None, None)]
+
+    def test_differing_final_pair_expands_again(self, monkeypatch):
+        # a final clamp surrogate one ulp off the probe's is a new step map
+        designed = []
+        design = FoldedInstance.design_polys
+
+        def nudged(self, delta_s, delta_c):
+            p_s, p_c = design(self, delta_s, delta_c)
+            if designed:
+                p_c = replace(p_c, odd_coeffs=np.nextafter(p_c.odd_coeffs, np.inf))
+            designed.append((p_s, p_c))
+            return p_s, p_c
+
+        monkeypatch.setattr(FoldedInstance, "design_polys", nudged)
+        calls = self._count_expansions(monkeypatch, FoldedInstance)
+        run_pipeline_certificate(folded_demo_instance(6), 0.3, mode="state")
+        assert len(designed) == 2 and len(calls) == 2
+        assert calls[0][0] is designed[0][0] and calls[0][1] is designed[0][1]
+        assert calls[1][0] is designed[1][0] and calls[1][1] is designed[1][1]
 
     def test_one_stacked_csr_per_certificate(self, monkeypatch):
         # the dense SVD and the H3 spot check share the unnormalized CSR
@@ -263,6 +302,96 @@ class TestPipelineCertificate:
         cert = run_pipeline_certificate(certify_instance(50), 0.05)
         assert cert.measurements["kappa_measured"] is not None
         assert calls == [cert.measurements["dim"]]
+
+
+class TestSameSurrogate:
+    def test_equal_bytes_and_halfwidth_match(self):
+        a = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
+        b = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
+        assert _same_surrogate(a, b) and _same_surrogate(None, None)
+
+    def test_any_difference_is_a_new_map(self):
+        a = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
+        assert not _same_surrogate(a, replace(a, halfwidth=2.0))
+        assert not _same_surrogate(a, OddPolynomial(np.array([1.1932, -0.2339, 0.1])))
+        assert not _same_surrogate(
+            a, replace(a, odd_coeffs=np.nextafter(a.odd_coeffs, 0.0)))
+        assert not _same_surrogate(a, None) and not _same_surrogate(None, a)
+
+
+# to_json() of three certificates as the code emitted them before the
+# fold was made single-pass; every later change must keep their bytes.
+# kappa_measured comes from a LAPACK SVD whose last bits depend on the
+# BLAS thread count, so the files were written, and are recomputed, by a
+# child process with every BLAS pool at one thread.
+_ORACLE = Path(__file__).parent / "data"
+_ORACLE_CASES = {
+    "saturated_toy_T50_eps0.05_terminal.json": ("certify_instance", 50, 0.05, "terminal"),
+    "folded_demo_T6_eps0.3_state.json": ("folded_demo_instance", 6, 0.3, "state"),
+    "folded_demo_T6_eps0.05_state.json": ("folded_demo_instance", 6, 0.05, "state"),
+}
+_ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+_ORACLE_SCRIPT = """
+import json, sys
+from robustlift import instances
+from robustlift.readout import run_pipeline_certificate
+out = {}
+for name, (make, t_window, eps_out, mode) in json.loads(sys.argv[1]).items():
+    inst = getattr(instances, make)(t_window)
+    out[name] = run_pipeline_certificate(inst, eps_out, mode=mode).to_json()
+print(json.dumps(out))
+"""
+
+
+def _first_difference(got, want, path="$"):
+    """Path of the first key or index, in document order, where two parsed
+    JSON documents differ; None when they are equal."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in list(want) + [k for k in got if k not in want]:
+            if key not in got or key not in want:
+                return f"{path}.{key}"
+            found = _first_difference(got[key], want[key], f"{path}.{key}")
+            if found:
+                return found
+        return None if list(got) == list(want) else f"{path} (key order)"
+    if isinstance(got, list) and isinstance(want, list):
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = _first_difference(g, w, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(got) == len(want) else f"{path} (length)"
+    return None if json.dumps(got) == json.dumps(want) else path
+
+
+@pytest.fixture(scope="module")
+def oracle_certificates():
+    env = dict(os.environ, **{k: "1" for k in _ONE_THREAD})
+    src = str(Path(robustlift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _ORACLE_SCRIPT,
+                           json.dumps(_ORACLE_CASES)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestCertificateOracle:
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_certificate_bytes_match(self, oracle_certificates, name):
+        want = (_ORACLE / name).read_text()
+        got = oracle_certificates[name]
+        if got != want:
+            where = _first_difference(json.loads(got), json.loads(want))
+            pytest.fail(f"{name}: certificate differs first at {where or 'formatting'}")
+
+    def test_first_difference_names_the_key(self):
+        want = {"a": 1, "b": {"c": [1.0, 2.0], "d": "x"}}
+        assert _first_difference(want, want) is None
+        assert _first_difference({"a": 1, "b": {"c": [1.0, 2.5], "d": "y"}},
+                                 want) == "$.b.c[1]"
+        assert _first_difference({"a": 1, "b": {"c": [1.0, 2.0]}}, want) == "$.b.d"
+        assert _first_difference({"b": want["b"], "a": 1}, want) == "$ (key order)"
 
 
 class TestRowAccessSpotCheck:
