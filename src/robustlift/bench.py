@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman, horizon, solver
-from .dynamics import CoupledState, folded_poly_step, one_step_delta_bound
+from .dynamics import folded_poly_step, one_step_delta_bound
 from .polyapprox import achieved_delta
 
 __all__ = [
@@ -453,22 +453,20 @@ def compare_reduction(instance, delta_s: float, delta_c: float,
     sched, grads = instance.sched, instance.grads
     t_window = sched.t_window
     p_s, p_c = instance.design_polys(delta_s, delta_c)
-    exact = np.stack([s.vector for s in instance.exact_states()])
-    folded = np.stack([s.vector for s in instance.folded_states(p_s, p_c)])
+    exact = instance.exact_states()
+    dev = instance.deviations(instance.model_states(p_s, p_c))
 
     m = grads.m
     step_err = 0.0
     for t in range(t_window):
-        start = CoupledState(exact[t, :m], exact[t, m:])
-        one = folded_poly_step(start, t, sched, grads, p_s, p_c)
+        one = folded_poly_step(exact[t], t, sched, grads, p_s, p_c)
         step_err = max(step_err, float(
-            np.linalg.norm(one.delta - exact[t + 1, :m])))
+            np.linalg.norm(one.delta - exact[t + 1].delta)))
     d_s = max(delta_s, achieved_delta(p_s) or 0.0)
     d_c = max(delta_c, achieved_delta(p_c) or 0.0)
     step_bound = one_step_delta_bound(m, sched.eta_delta_max, d_s,
                                       sched.eps_ball, d_c)
 
-    dev = (folded - instance.center) * instance.scale
     vbar = float(np.linalg.norm(dev, axis=1).max())
     coeffs = instance.build_expansion(p_s, p_c)
     major = carleman.majorant_and_contractivity(coeffs, n_levels)

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy import sparse
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "lift_lipschitz",
 ]
 
+# largest lifted dimension a lift or a lifted state may have
 DEFAULT_DIM_CAP = 5_000_000
 
 
@@ -58,13 +60,12 @@ def level_offsets(d: int, n_levels: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def lift_state(v: np.ndarray, n_levels: int,
-               dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def lift_state(v: np.ndarray, n_levels: int) -> np.ndarray:
     if n_levels < 1:
         raise ValueError("a lift needs at least one level")
     v = np.asarray(v, dtype=float)
     d = len(v)
-    if delta_dim(d, n_levels) > dim_cap:
+    if delta_dim(d, n_levels) > DEFAULT_DIM_CAP:
         raise MemoryError("lifted dimension exceeds the configured cap")
     blocks = []
     power = np.array([1.0])
@@ -270,8 +271,7 @@ def _next_level(mats, prev: _Level, off: np.ndarray) -> _Level:
     return _merged_level(mats, live, prev, off, single)
 
 
-def build_lifted_step(coeffs, n_levels: int,
-                      dim_cap: int = DEFAULT_DIM_CAP) -> LiftedStep:
+def build_lifted_step(coeffs, n_levels: int) -> LiftedStep:
     """Lift `coeffs` to the truncated recurrence y+ = B y + c.
 
     B and c match, bit for bit, the level recurrence
@@ -289,7 +289,7 @@ def build_lifted_step(coeffs, n_levels: int,
         raise ValueError("a lift needs at least one level")
     d = coeffs.d
     dim = delta_dim(d, n_levels)
-    if dim > dim_cap:
+    if dim > DEFAULT_DIM_CAP:
         raise MemoryError("lifted dimension exceeds the configured cap")
     top = min(coeffs.degree, n_levels)
     mats = [coeffs.as_matrix(ell) for ell in range(top + 1)]
@@ -332,8 +332,8 @@ class RecurrenceResult:
 
 
 def run_truncated_recurrence(steps, y0: np.ndarray, t_window: int,
-                             reference: list[np.ndarray] | None = None,
-                             dim_cap: int = DEFAULT_DIM_CAP) -> RecurrenceResult:
+                             reference: list[np.ndarray] | None = None
+                             ) -> RecurrenceResult:
     """Iterate the truncated recurrence; optionally track the tail residual.
 
     `steps` is one LiftedStep (time-invariant) or a sequence with one per
@@ -352,7 +352,7 @@ def run_truncated_recurrence(steps, y0: np.ndarray, t_window: int,
         if len(reference) != t_window + 1:
             raise ValueError("reference trajectory must cover 0..T")
         n_levels = per_step[0].n_levels if per_step else 0
-        eta = np.stack([lift_state(v, n_levels, dim_cap) - y[t]
+        eta = np.stack([lift_state(v, n_levels) - y[t]
                         for t, v in enumerate(reference)])
     return RecurrenceResult(y, eta)
 
@@ -361,11 +361,8 @@ def run_truncated_recurrence(steps, y0: np.ndarray, t_window: int,
 # majorants
 
 
-def _low_norms(expansion, keep: int) -> np.ndarray:
-    """Exact operator norms for degrees 0..keep-1, zero padded."""
-    series = np.asarray(expansion.norm_bounds(), dtype=float)
-    if (series < 0).any():
-        raise ValueError("operator-norm series must be nonnegative")
+def _low_norms(series: np.ndarray, keep: int) -> np.ndarray:
+    """The norm series ||Q_l|| for degrees 0..keep-1, zero padded."""
     out = np.zeros(keep)
     out[: min(keep, len(series))] = series[:keep]
     return out
@@ -407,7 +404,7 @@ def majorant_and_contractivity(expansions, n_levels: int) -> MajorantReport:
     worst_rho = -1.0
     lin_norm = 0.0
     for exp in exps:
-        series = _low_norms(exp, n_levels + 1)
+        series = _low_norms(exp.norm_bounds(), n_levels + 1)
         table = _truncated_powers(series, n_levels, n_levels + 1)
         big_r = table[:, 1:]
         rho_t = float(np.linalg.norm(big_r, 2)) if big_r.size else 0.0
@@ -442,14 +439,13 @@ class TailReport:
     per_level_tails: np.ndarray
     horizon_bound: float
     uniform_bound: float
-    weighted_lambda: float | None
     weighted_chi: float | None
     weighted_gamma_n: float | None
     weighted_feasible: bool
     n_design: int | None
 
 
-def _direct_tail(expansion, n_levels: int, vbar: float) -> np.ndarray:
+def _direct_tail(series: np.ndarray, n_levels: int, vbar: float) -> np.ndarray:
     """Per-level sums sum_{s>N} [x^s] (phi(x))^j vbar^s for j = 1..N.
 
     phi is the norm series.  Coefficients of phi^j at orders <= N only
@@ -457,9 +453,9 @@ def _direct_tail(expansion, n_levels: int, vbar: float) -> np.ndarray:
     phi(vbar)^j, so tails never materialize high-degree arrays:
     tail_j = phi(vbar)^j - sum_{s<=N} [x^s](phi^j) vbar^s  (all terms >= 0).
     """
-    low = _low_norms(expansion, n_levels + 1)
+    low = _low_norms(series, n_levels + 1)
     scaled_low = low * vbar ** np.arange(n_levels + 1, dtype=float)
-    phi_val = float(expansion.series_value(vbar))
+    phi_val = float(polyval(vbar, series))
     tails = np.zeros(n_levels)
     power = np.zeros(n_levels + 1)
     power[0] = 1.0
@@ -490,12 +486,13 @@ def tail_constant_and_cutoff(expansions, n_levels: int, vbar: float,
     if lam is not None and lam <= 1.0:
         raise ValueError("weight lambda must exceed 1")
     for exp in exps:
-        tails = _direct_tail(exp, n_levels, vbar)
+        series = exp.norm_bounds()
+        tails = _direct_tail(series, n_levels, vbar)
         g = float(np.linalg.norm(tails))
         if g > gamma_n:
             gamma_n, per_level = g, tails
         if lam is not None:
-            weighted = float(exp.series_value(lam * vbar))
+            weighted = float(polyval(lam * vbar, series))
             chi = weighted if chi is None else max(chi, weighted)
     horizon = math.sqrt(t_window + 1) * gamma_n / (1.0 - rho)
     weighted_gamma = None
@@ -511,7 +508,6 @@ def tail_constant_and_cutoff(expansions, n_levels: int, vbar: float,
         per_level_tails=per_level,
         horizon_bound=horizon,
         uniform_bound=gamma_n / (1.0 - rho),
-        weighted_lambda=lam,
         weighted_chi=chi,
         weighted_gamma_n=weighted_gamma,
         weighted_feasible=feasible,

@@ -87,11 +87,35 @@ def load_config(path: str | None) -> dict:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key} in [{section}]: {raw!r}") from exc
-    # a lift has at least one level; the cutoff search starts at two
-    for key, least in (("n_levels", 1), ("n_max", 2)):
-        if resolved["instance"][key] < least:
-            raise ConfigError(f"{key} in [instance] must be at least {least}")
+    _check_domains(resolved)
     return resolved
+
+
+def _check_domains(cfg: dict) -> None:
+    """Refuse a value outside its domain with ConfigError (exit 2).
+
+    A section whose command builds a self-validating object is checked by
+    building it, so each domain is written once.  `main` runs this after
+    the command-line overrides, before any command runs or writes a file.
+    """
+    section = cfg["instance"]
+    # a window may be empty; a lift has a level; the cutoff search needs two
+    for key, least in (("t_window", 0), ("n_levels", 1), ("n_max", 2)):
+        if section[key] < least:
+            raise ConfigError(f"{key} in [instance] must be at least {least}")
+    if section["mode"] not in ("state", "terminal"):
+        raise ConfigError(f"mode in [instance] must be state or terminal, "
+                          f"not {section['mode']!r}")
+    from .bench import MODE_ALPHA
+
+    bad = [mode for mode in _bench_modes(cfg) if mode not in MODE_ALPHA]
+    if bad:
+        raise ConfigError(f"unknown mode {bad[0]!r} in [bench] modes")
+    for name, build in (("polys", _poly_specs), ("resources", _resource_model)):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from exc
 
 
 def _config_hash(path: str | None, resolved: dict) -> str:
@@ -140,20 +164,35 @@ def _instance_from_config(cfg: dict):
     raise ConfigError(f"unknown instance {name!r}")
 
 
-def _designed_polys(cfg: dict):
-    from .polyapprox import ClipSpec, SignSpec, design_clip_poly, design_sign_poly
+def _poly_specs(cfg: dict):
+    from .polyapprox import ClipSpec, SignSpec
 
     p = cfg["polys"]
-    p_s = design_sign_poly(SignSpec(1.0, p["tau_s"], p["delta_s"]))
-    p_c = design_clip_poly(ClipSpec(p["big_l"], p["tau_c"], p["delta_c"]))
-    return p_s, p_c
+    return (SignSpec(1.0, p["tau_s"], p["delta_s"]),
+            ClipSpec(p["big_l"], p["tau_c"], p["delta_c"]))
 
 
-def _instance_polys(instance, cfg: dict):
-    if not instance.uses_fold:
-        return None, None
+def _resource_model(cfg: dict):
+    from .solver import ResourceModel
+
+    r = cfg["resources"]
+    return ResourceModel(
+        s_row=r["s_row"], kappa=r["kappa"], dim=r["dim"], eps_ls=r["eps_ls"],
+        c_query=r["c_query"], c_gate=r["c_gate"],
+        c_sparse_access=r["c_sparse_access"], a_ancilla=r["a_ancilla"],
+        polylog_power=r["polylog_power"], qram=r["qram"])
+
+
+def _bench_modes(cfg: dict) -> list[str]:
+    return [m.strip() for m in cfg["bench"]["modes"].split(",") if m.strip()]
+
+
+def _step_expansion(cfg: dict):
+    """The configured instance and its step map under its surrogates."""
+    instance = _instance_from_config(cfg)
     p = cfg["polys"]
-    return instance.design_polys(p["delta_s"], p["delta_c"])
+    p_s, p_c = instance.design_polys(p["delta_s"], p["delta_c"])
+    return instance, instance.build_expansion(p_s, p_c)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +200,10 @@ def _instance_polys(instance, cfg: dict):
 
 
 def cmd_design_polys(cfg: dict, outdir: str) -> list[str]:
-    p_s, p_c = _designed_polys(cfg)
+    from .polyapprox import design_clip_poly, design_sign_poly
+
+    sign_spec, clip_spec = _poly_specs(cfg)
+    p_s, p_c = design_sign_poly(sign_spec), design_clip_poly(clip_spec)
     sign_path = os.path.join(outdir, "sign_poly.txt")
     clip_path = os.path.join(outdir, "clip_poly.txt")
     p_s.save_text(sign_path)
@@ -179,9 +221,7 @@ def cmd_design_polys(cfg: dict, outdir: str) -> list[str]:
 
 
 def cmd_expand_step(cfg: dict, outdir: str) -> list[str]:
-    instance = _instance_from_config(cfg)
-    p_s, p_c = _instance_polys(instance, cfg)
-    coeffs = instance.build_expansion(p_s, p_c)
+    _, coeffs = _step_expansion(cfg)
     path = os.path.join(outdir, "step_coefficients.json")
     with open(path, "w") as fh:
         fh.write(coeffs.to_json())
@@ -191,15 +231,10 @@ def cmd_expand_step(cfg: dict, outdir: str) -> list[str]:
 def _lifted_pieces(cfg: dict):
     from . import carleman
 
-    instance = _instance_from_config(cfg)
-    p_s, p_c = _instance_polys(instance, cfg)
+    instance, coeffs = _step_expansion(cfg)
     n_levels = cfg["instance"]["n_levels"]
-    coeffs = instance.build_expansion(p_s, p_c)
     step = carleman.build_lifted_step(coeffs, n_levels)
-    states = (instance.folded_states(p_s, p_c) if instance.uses_fold
-              else instance.exact_states())
-    dev0 = (states[0].vector - instance.center) * instance.scale
-    y0 = carleman.lift_state(dev0, n_levels)
+    y0 = carleman.lift_state(instance.deviations([instance.v0])[0], n_levels)
     rho = carleman.majorant_and_contractivity(coeffs, n_levels).rho
     return instance, step, y0, rho
 
@@ -272,15 +307,9 @@ def cmd_certify(cfg: dict, outdir: str) -> list[str]:
 
 
 def cmd_estimate_resources(cfg: dict, outdir: str) -> list[str]:
-    from .solver import ResourceModel, qlsa_estimate
+    from .solver import qlsa_estimate
 
-    r = cfg["resources"]
-    model = ResourceModel(
-        s_row=r["s_row"], kappa=r["kappa"], dim=r["dim"], eps_ls=r["eps_ls"],
-        c_query=r["c_query"], c_gate=r["c_gate"],
-        c_sparse_access=r["c_sparse_access"], a_ancilla=r["a_ancilla"],
-        polylog_power=r["polylog_power"], qram=r["qram"])
-    estimate = qlsa_estimate(model)
+    estimate = qlsa_estimate(_resource_model(cfg))
     path = os.path.join(outdir, "resources.json")
     with open(path, "w") as fh:
         json.dump(estimate.to_dict(), fh, indent=2)
@@ -303,7 +332,7 @@ def cmd_bench_train(cfg: dict, outdir: str) -> list[str]:
     dataset = load_mnist_reduced(b["data_path"] or None, seed=seed)
     artifacts = []
     summary = {}
-    for mode in [m.strip() for m in b["modes"].split(",") if m.strip()]:
+    for mode in _bench_modes(cfg):
         result = train_reduced(task, mode, dataset, seed=seed)
         csv_path = os.path.join(outdir, f"metrics_{mode}.csv")
         write_metrics_csv(csv_path, result.rows)
@@ -411,6 +440,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(args, cfg)
+        _check_domains(cfg)
         outdir = args.output_dir or os.path.join(cfg["run"]["output_dir"],
                                                  args.command)
         os.makedirs(outdir, exist_ok=True)

@@ -52,6 +52,14 @@ __all__ = [
     "scaled_base_step_error_bound",
 ]
 
+# entries `PolynomialMapCoeffs.as_matrix` may materialize
+_MAX_MATRIX_ENTRIES = 5_000_000
+# `expand_polynomial_map`: largest FFT grid, and the residual check on
+# random real points that enforces the degree promise
+_MAX_EXPAND_GRID = 2_000_000
+_EXPAND_CHECK_POINTS = 100
+_EXPAND_TOL = 1e-10
+
 
 class DegreeOverflowError(RuntimeError):
     """Raised when a closure is not a polynomial of the promised degree."""
@@ -442,10 +450,6 @@ class PolynomialMapCoeffs:
             out[ell] = self.operator_norm(ell)
         return out
 
-    def series_value(self, x: float) -> float:
-        """sum_l ||Q_l|| x^l; every coefficient is exact here."""
-        return float(np.polynomial.polynomial.polyval(x, self.norm_bounds()))
-
     def row_sparsity(self, ell: int) -> int:
         by_beta = self.terms.get(ell)
         if not by_beta:
@@ -461,12 +465,12 @@ class PolynomialMapCoeffs:
     def row_sparsities(self) -> list[int]:
         return [self.row_sparsity(ell) for ell in range(self.degree + 1)]
 
-    def as_matrix(self, ell: int, max_entries: int = 5_000_000) -> sparse.csr_matrix:
+    def as_matrix(self, ell: int) -> sparse.csr_matrix:
         """Q_ell as an explicit d x d^ell sparse matrix (small ell only)."""
         by_beta = self.terms.get(ell, {})
         budget = sum(_multiplicity(beta) * int(np.count_nonzero(coeff))
                      for beta, coeff in by_beta.items())
-        if budget > max_entries:
+        if budget > _MAX_MATRIX_ENTRIES:
             raise MemoryError(f"materializing Q_{ell} exceeds the entry cap")
         shape = (self.d, self.d**ell)
         if not by_beta:
@@ -504,10 +508,7 @@ class PolynomialMapCoeffs:
 
 
 def expand_polynomial_map(step_closure, d: int, d_max: int,
-                          radius: float = 1.0, tol: float = 1e-10,
-                          check_points: int = 100,
-                          rng: np.random.Generator | None = None,
-                          max_grid: int = 2_000_000) -> PolynomialMapCoeffs:
+                          radius: float = 1.0) -> PolynomialMapCoeffs:
     """Recover exact coefficients of a polynomial closure of degree <= d_max.
 
     Samples the closure on a roots-of-unity tensor grid of radius `radius`
@@ -515,7 +516,7 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
     A residual check on random real points enforces the promise.
     """
     npts = d_max + 1
-    if npts**d > max_grid:
+    if npts**d > _MAX_EXPAND_GRID:
         raise MemoryError("expansion grid exceeds the configured cap")
     base = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
     grids = np.meshgrid(*([base] * d), indexing="ij")
@@ -545,12 +546,12 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
         terms.setdefault(sum(beta), {})[tuple(beta)] = row
     coeffs = PolynomialMapCoeffs(d, terms)
 
-    rng = rng or np.random.default_rng(0)
-    probes = rng.uniform(-0.5, 0.5, size=(check_points, d)) * radius
+    rng = np.random.default_rng(0)
+    probes = rng.uniform(-0.5, 0.5, size=(_EXPAND_CHECK_POINTS, d)) * radius
     truth = np.asarray(step_closure(probes))
     got = coeffs.evaluate(probes)
     err = np.linalg.norm(truth - got, axis=1)
-    ok = err <= tol * (1.0 + np.linalg.norm(truth, axis=1))
+    ok = err <= _EXPAND_TOL * (1.0 + np.linalg.norm(truth, axis=1))
     if not ok.all():
         worst = float(err.max())
         raise DegreeOverflowError(

@@ -192,8 +192,6 @@ def hockey_stick_total(j: int, n_levels: int) -> int:
 
 @dataclass(frozen=True)
 class SparsityReport:
-    per_level_terms: np.ndarray
-    block_row_bounds: np.ndarray
     s_b: int
     s_row: int
 
@@ -209,14 +207,11 @@ def sparsity_bounds(row_sparsities, n_levels: int) -> SparsityReport:
     per_step = row_sparsities
     if per_step and isinstance(per_step[0], (int, np.integer)):
         per_step = [per_step]
-    worst_terms = None
-    worst_rows = None
     s_b = 0
     for series in per_step:
         series = [int(x) for x in series]
-        table = np.zeros((n_levels, n_levels + 1), dtype=object)
         power = [1]
-        for j in range(n_levels):
+        for _ in range(n_levels):
             new = [0] * min(len(power) + len(series) - 1, n_levels + 1)
             for a, ca in enumerate(power):
                 if ca == 0 or a >= n_levels + 1:
@@ -226,20 +221,9 @@ def sparsity_bounds(row_sparsities, n_levels: int) -> SparsityReport:
                         break
                     new[a + bdeg] += ca * cb
             power = new
-            for s in range(min(len(power), n_levels + 1)):
-                table[j, s] = power[s]
-        rows = np.array([int(sum(table[j, 1:])) for j in range(n_levels)],
-                        dtype=object)
-        peak = int(rows.max()) if len(rows) else 0
-        if peak >= s_b:
-            s_b = peak
-            worst_terms, worst_rows = table, rows
-    return SparsityReport(
-        per_level_terms=worst_terms,
-        block_row_bounds=worst_rows,
-        s_b=s_b,
-        s_row=s_b + 1,
-    )
+            # block row j sums its level's terms over the columns s >= 1
+            s_b = max(s_b, sum(power[1:]))
+    return SparsityReport(s_b=s_b, s_row=s_b + 1)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +235,6 @@ class ConditionReport:
     rho: float
     t_window: int
     norm_bound: float
-    inverse_norm_bound: float
     kappa_bound_geometric: float
     kappa_bound: float
     measured_norm: float | None
@@ -259,18 +242,16 @@ class ConditionReport:
 
 
 def condition_bounds(rho: float, t_window: int,
-                     system: HorizonSystem | None = None,
-                     dense_limit: int = DENSE_SVD_LIMIT) -> ConditionReport:
+                     system: HorizonSystem | None = None) -> ConditionReport:
     """Closed-form condition bounds; measured SVD when the size allows."""
     if not (0.0 <= rho):
         raise ValueError("rho must be nonnegative")
     geo_sum = float(sum(rho**k for k in range(t_window + 1)))
-    inv_bound = 1.0 / (1.0 - rho) if rho < 1.0 else geo_sum
     kappa_geo = (1.0 + rho) * geo_sum
     closed = min((1.0 + rho) / (1.0 - rho) if rho < 1.0 else math.inf,
                  2.0 * (t_window + 1))
     measured_norm = measured_kappa = None
-    if system is not None and system.dim <= dense_limit:
+    if system is not None and system.dim <= DENSE_SVD_LIMIT:
         svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
         measured_norm = float(svals[0])
         measured_kappa = float(svals[0] / svals[-1])
@@ -278,7 +259,6 @@ def condition_bounds(rho: float, t_window: int,
         rho=float(rho),
         t_window=t_window,
         norm_bound=1.0 + rho,
-        inverse_norm_bound=min(geo_sum, inv_bound),
         kappa_bound_geometric=kappa_geo,
         kappa_bound=min(kappa_geo, closed),
         measured_norm=measured_norm,
@@ -286,7 +266,6 @@ def condition_bounds(rho: float, t_window: int,
     )
 
 
-def save_matrix_market(system: HorizonSystem, path: str,
-                       normalized: bool = True) -> None:
-    target = system.matrix_normalized if normalized else system.matrix
-    mmwrite(path, target)
+def save_matrix_market(system: HorizonSystem, path: str) -> None:
+    """Write the normalized matrix M / (1 + rho) in Matrix Market format."""
+    mmwrite(path, system.matrix_normalized)

@@ -1,5 +1,14 @@
 """Ready-made systems: the certified descent example and random families.
 
+Both window classes answer one protocol, so no caller asks which model
+a window steps by: `design_polys(delta_s, delta_c)` gives the step's
+surrogate pair ((None, None) without surrogates), `model_states(p_s, p_c,
+monitor=None)` the model trajectory under it, `deviations(states)` the
+scaled coordinates (v - center) * scale the lift works in, one row per
+state, `fresh_monitor()` the step monitor or None, and `build_expansion(
+p_s, p_c)` the step map in those coordinates.  `exact_states()`, the
+genuine iteration, is computed once per window.
+
 The certification example is a one-parameter, one-perturbation training
 run designed so the attacker saturates from the first step: its gradient
 coordinate stays strictly positive and the ball clamp is active, so the
@@ -19,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,6 +45,9 @@ from .dynamics import (
     recentre_polys,
     structural_step_polys,
 )
+from .polyapprox import (ClipSpec, OddPolynomial, SignSpec, clip_checks,
+                         design_clip_poly, design_sign_poly, sign_checks,
+                         verify_poly_spec)
 
 __all__ = [
     "CertifyInstance",
@@ -46,14 +59,16 @@ __all__ = [
     "RandomSystem",
 ]
 
-
-# ----------------------------------------------------------------------
-# the certification example
+# accuracies that fixed surrogates are certified at, whatever a caller budgets
+_DECLARED_DELTA_S = 0.05
+_DECLARED_DELTA_C = 0.05
+# highest folded step degree that is expanded symbolically
+_MAX_EXPAND_DEGREE = 60
 
 
 @dataclass
-class CertifyInstance:
-    """Saturated-regime training run with an affine realized step."""
+class _Window:
+    """One training window: schedule, gradients, start and coordinates."""
 
     sched: StepSchedule
     grads: AffineGradient
@@ -64,17 +79,42 @@ class CertifyInstance:
     tau_c: float
     big_l: float
     lam: float | None = None
-    uses_fold: bool = False
-    _cache: list[CoupledState] | None = field(default=None, repr=False)
+    # not an init field, so `dataclasses.replace` starts a fresh trajectory
+    _exact: list[CoupledState] | None = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    # whether the model steps through surrogates rather than exactly
+    uses_fold: ClassVar[bool]
 
     def exact_states(self) -> list[CoupledState]:
-        if self._cache is None:
+        if self._exact is None:
             states = [self.v0]
             for t in range(self.sched.t_window):
                 states.append(exact_outer_step(states[-1], t, self.sched,
                                                self.grads))
-            self._cache = states
-        return self._cache
+            self._exact = states
+        return self._exact
+
+    def deviations(self, states) -> np.ndarray:
+        """Scaled coordinates (v - center) * scale, one row per state."""
+        return (np.stack([s.vector for s in states]) - self.center) * self.scale
+
+
+# ----------------------------------------------------------------------
+# the certification example
+
+
+@dataclass
+class CertifyInstance(_Window):
+    """Saturated-regime training run with an affine realized step."""
+
+    uses_fold: ClassVar[bool] = False
+
+    def design_polys(self, delta_s, delta_c):
+        return None, None
+
+    def model_states(self, p_s, p_c, monitor=None) -> list[CoupledState]:
+        return self.exact_states()
 
     def fresh_monitor(self):
         return None
@@ -156,58 +196,39 @@ def certify_instance(t_window: int = 50) -> CertifyInstance:
 
 
 @dataclass
-class FoldedInstance:
+class FoldedInstance(_Window):
     """Same coupled run, stepped through the designed surrogates.
 
     `fixed_polys` short-circuits the per-budget design with handmade
     low-degree surrogates; their declared accuracies come from direct
     measurement over the admissible region, so the budgets they satisfy
-    are whatever those measurements support.
+    are whatever those measurements support.  They are certified once, at
+    construction, and every `design_polys` call returns those objects.
     """
 
-    sched: StepSchedule
-    grads: AffineGradient
-    v0: CoupledState
-    center: np.ndarray
-    scale: np.ndarray
-    tau_s: float
-    tau_c: float
-    big_l: float
-    lam: float | None = None
-    uses_fold: bool = True
+    uses_fold: ClassVar[bool] = True
     fixed_polys: tuple | None = None
-    max_expand_degree: int = 60
 
-    declared_delta_s: float = 0.05
-    declared_delta_c: float = 0.05
-
-    def design_polys(self, delta_s: float, delta_c: float):
-        from .polyapprox import (ClipSpec, SignSpec, clip_checks,
-                                 design_clip_poly, design_sign_poly,
-                                 sign_checks, verify_poly_spec)
-
+    def __post_init__(self) -> None:
         if self.fixed_polys is not None:
-            # fixed surrogates carry measured certificates at the declared
-            # accuracies, not at whatever the caller budgeted
-            from dataclasses import replace
             p_s, p_c = self.fixed_polys
             cert_s = verify_poly_spec(
-                p_s, sign_checks(SignSpec(1.0, self.tau_s, self.declared_delta_s)))
+                p_s, sign_checks(SignSpec(1.0, self.tau_s, _DECLARED_DELTA_S)))
             cert_c = verify_poly_spec(
                 p_c, clip_checks(ClipSpec(self.big_l, self.tau_c,
-                                          self.declared_delta_c)))
-            return replace(p_s, certificate=cert_s), replace(p_c, certificate=cert_c)
+                                          _DECLARED_DELTA_C)))
+            self.fixed_polys = (replace(p_s, certificate=cert_s),
+                                replace(p_c, certificate=cert_c))
+
+    def design_polys(self, delta_s: float, delta_c: float):
+        if self.fixed_polys is not None:
+            # certified at the declared accuracies, not the caller's budget
+            return self.fixed_polys
         p_s = design_sign_poly(SignSpec(1.0, self.tau_s, delta_s))
         p_c = design_clip_poly(ClipSpec(self.big_l, self.tau_c, delta_c))
         return p_s, p_c
 
-    def exact_states(self) -> list[CoupledState]:
-        states = [self.v0]
-        for t in range(self.sched.t_window):
-            states.append(exact_outer_step(states[-1], t, self.sched, self.grads))
-        return states
-
-    def folded_states(self, p_s, p_c, monitor: StepMonitor | None = None):
+    def model_states(self, p_s, p_c, monitor: StepMonitor | None = None):
         states = [self.v0]
         for t in range(self.sched.t_window):
             states.append(folded_poly_step(states[-1], t, self.sched,
@@ -227,7 +248,7 @@ class FoldedInstance:
         polys = structural_step_polys(0, self.sched, self.grads, p_s, p_c)
         polys = recentre_polys(polys, self.center, self.scale)
         coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-14)
-        if coeffs.degree > self.max_expand_degree:
+        if coeffs.degree > _MAX_EXPAND_DEGREE:
             raise ValueError("surrogate degrees too high for direct expansion")
         return coeffs
 
@@ -241,8 +262,6 @@ def folded_demo_instance(t_window: int = 6) -> FoldedInstance:
     surrogates are a few percent accurate on the visited regions.  This
     exercises the folded machinery; it is not a tight certificate.
     """
-    from .polyapprox import OddPolynomial
-
     base = certify_instance(t_window)
     sched = StepSchedule.uniform(t_window, eps_ball=base.sched.eps_ball,
                                  eta_delta=0.04, eta_u=0.1, alpha=1.2)

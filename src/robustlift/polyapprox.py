@@ -45,10 +45,14 @@ __all__ = [
     "verify_poly_spec",
 ]
 
-# Default constants of the degree bounds; unspecified upstream, so they are
+# Constants of the degree bounds; unspecified upstream, so they are
 # configuration inputs here, not claims.
 DEFAULT_C_S = 4.0
 DEFAULT_C_LITTLE_S = 2.0
+
+# the sign search's degree cap, and the grid density a design starts from
+_MAX_DESIGN_DEGREE = 4000
+_DESIGN_DENSITY = 1e4
 
 _MONOMIAL_EXPORT_MAX_DEGREE = 60
 
@@ -454,9 +458,7 @@ def _design_density(poly: OddPolynomial, user_density: float, slack_scale: float
     return float(min(max(user_density, needed), _DENSITY_CAP))
 
 
-def _search_sign(
-    spec: SignSpec, max_degree: int, grid_density: float, mode: str,
-) -> tuple[OddPolynomial, float]:
+def _search_sign(spec: SignSpec) -> tuple[OddPolynomial, float]:
     """First certified unit-interval candidate of the degree walk, and its density.
 
     Each candidate's clauses run only up to the first that fails, and a
@@ -468,28 +470,24 @@ def _search_sign(
     checks_unit = sign_checks(SignSpec(1.0, tau_t, spec.delta))
 
     deg = max(3, int(math.ceil(1.2 / w)) | 1)
-    while deg <= max_degree:
+    while deg <= _MAX_DESIGN_DEGREE:
         full = C.chebinterpolate(target, deg)
         full[0::2] = 0.0  # odd target: even coefficients are rounding noise
         cand = OddPolynomial(full[1::2], 1.0)
-        density = _design_density(cand, grid_density, spec.delta)
-        _, results = _clause_results(cand, checks_unit, density, mode,
+        density = _design_density(cand, _DESIGN_DENSITY, spec.delta)
+        _, results = _clause_results(cand, checks_unit, density, "auto",
                                      stop_at_fail=True)
         if all(r.passed for r in results):
             return cand, density
         step = max(2, int(0.08 * deg) & ~1)
         deg += step
     raise PolyDesignError(
-        f"no certified sign polynomial up to degree {max_degree} for {spec}"
+        f"no certified sign polynomial up to degree {_MAX_DESIGN_DEGREE} "
+        f"for {spec}"
     )
 
 
-def design_sign_poly(
-    spec: SignSpec,
-    max_degree: int = 4000,
-    grid_density: float = 1e4,
-    mode: str = "auto",
-) -> OddPolynomial:
+def design_sign_poly(spec: SignSpec) -> OddPolynomial:
     """Smallest-degree certified gapped sign approximant found by search.
 
     Interpolates the mollified target at Chebyshev points, keeps the odd
@@ -497,13 +495,14 @@ def design_sign_poly(
     interval; a candidate's clauses stop at the first that fails, and a
     grid clause at its first failing chunk.  The returned polynomial
     carries a full certificate of all three clauses, every chunk read, on
-    the requested interval.  Raises PolyDesignError past max_degree.
+    the requested interval.  Raises PolyDesignError past degree
+    `_MAX_DESIGN_DEGREE`.
     """
-    cand, density = _search_sign(spec, max_degree, grid_density, mode)
+    cand, density = _search_sign(spec)
     # rescale the certified base solution to the requested interval;
     # coefficients are shared bit-for-bit with the unit design
     final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
-    cert_final = verify_poly_spec(final, sign_checks(spec), density, mode)
+    cert_final = verify_poly_spec(final, sign_checks(spec), density)
     return replace(final, certificate=cert_final)
 
 
@@ -524,12 +523,7 @@ def clip_checks(spec: ClipSpec) -> list[PolyCheck]:
 _CLIP_ACC_LABELS = ("inner", "outer_plus", "outer_minus")
 
 
-def design_clip_poly(
-    spec: ClipSpec,
-    max_degree: int = 4000,
-    grid_density: float = 1e4,
-    mode: str = "auto",
-) -> OddPolynomial:
+def design_clip_poly(spec: ClipSpec) -> OddPolynomial:
     """Saturation approximant via the shifted-sign identity.
 
     S approximates sign on the widened interval [-R_c, R_c] with gap tau_c
@@ -541,9 +535,7 @@ def design_clip_poly(
     its own; P_c's certificate runs all four clip clauses.
     """
     unit, _ = _search_sign(
-        SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
-        max_degree, grid_density, mode,
-    )
+        SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l))
     inner = OddPolynomial(unit.odd_coeffs, spec.widened)
 
     def combo(x):
@@ -554,8 +546,8 @@ def design_clip_poly(
     full = C.chebinterpolate(lambda t: combo(spec.big_l * t), deg)
     full[0::2] = 0.0  # combo is odd; even part is rounding noise
     cand = OddPolynomial(full[1::2], spec.big_l)
-    density = _design_density(cand, grid_density, spec.delta / spec.big_l)
-    cert = verify_poly_spec(cand, clip_checks(spec), density, mode)
+    density = _design_density(cand, _DESIGN_DENSITY, spec.delta / spec.big_l)
+    cert = verify_poly_spec(cand, clip_checks(spec), density)
     if not cert.passed:
         raise PolyDesignError(f"clip certification failed for {spec}: {cert}")
     return replace(cand, certificate=cert)
@@ -577,18 +569,16 @@ def achieved_delta(poly: OddPolynomial | None) -> float | None:
 # ----------------------------------------------------------------------
 # budget split
 
-def degrees_from_budget(
-    budget: DegreeBudget,
-    c_s: float = DEFAULT_C_S,
-    c_little_s: float = DEFAULT_C_LITTLE_S,
-) -> BudgetDegrees:
+def degrees_from_budget(budget: DegreeBudget) -> BudgetDegrees:
     """Split a per-step nonlinearity budget into sign/clip error targets.
 
     delta_s = eps_nl / (2 eta_delta sqrt(m)), delta_c = eps_nl / (2 eps sqrt(m)),
     which makes the one-step bound sqrt(m)(eta_delta delta_s + eps delta_c)
-    equal eps_nl.  Degree bounds are reported with explicit constants
-    (c_s, c_little_s), which are configuration, not derived values.
+    equal eps_nl.  Degree bounds are reported with the explicit constants
+    DEFAULT_C_S and DEFAULT_C_LITTLE_S, which are configuration, not
+    derived values.
     """
+    c_s, c_little_s = DEFAULT_C_S, DEFAULT_C_LITTLE_S
     m_root = math.sqrt(budget.m)
     limit = min(budget.eta_delta * m_root, budget.eps_ball * budget.big_l * m_root)
     feasible = 0.0 < budget.eps_nl < limit

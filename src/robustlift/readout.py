@@ -47,6 +47,11 @@ _PROBE_DELTAS = (1e-3, 1e-3)
 _N_PROBE = 4
 _RHO_MARGIN = 0.05
 _VBAR_MARGIN = 0.05
+# share of the probe's terminal weight the plan may count on
+_P_STAR_FRACTION = 0.9
+# stacked nonzeros, (T + 1) * (nnz(B) + dim), past which the final lift
+# drops levels
+_MAX_STACKED_NNZ = horizon.MAX_STACKED_NNZ
 
 
 @dataclass(frozen=True)
@@ -313,11 +318,6 @@ class Certificate:
         return json.dumps(payload, indent=2)
 
 
-def _deviation(states, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    arr = np.stack([s.vector for s in states])
-    return (arr - center) * scale
-
-
 def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
     """Sampled rows of `row_access` against the rows of M times 1 / (1 + rho):
     the same IEEE products `row_access` takes, so the check is bit-exact."""
@@ -337,19 +337,8 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
     return True
 
 
-def _same_surrogate(a, b) -> bool:
-    """True when two surrogates fold to the same step map: the same
-    odd_coeffs bytes and halfwidth, or both None."""
-    if a is None or b is None:
-        return a is b
-    return (a.odd_coeffs.tobytes() == b.odd_coeffs.tobytes()
-            and a.halfwidth == b.halfwidth)
-
-
 def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
                              n_max: int = 12,
-                             max_stacked_nnz: int = horizon.MAX_STACKED_NNZ,
-                             p_star_fraction: float = 0.9,
                              seed: int = 0) -> Certificate:
     """Design, lift, solve and read out one instance; report everything.
 
@@ -357,9 +346,10 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     with coarse surrogates; the plan allocates budgets from those with
     margins; the final phase re-measures everything and verifies each
     inequality.  Hypothesis failures mark the certificate, they do not
-    raise.  Each distinct surrogate pair is folded and expanded once: when
-    the final surrogates equal the probe's (fixed surrogates, or none at
-    all), the final phase reuses the probe's expansion.
+    raise.  Each phase asks the instance for surrogates, trajectory and
+    coordinates; each distinct surrogate pair is expanded once, as the
+    final phase reuses the probe's expansion when the instance hands it
+    the probe's own surrogates (fixed ones, or none at all).
     """
     if n_max < 2:
         raise ValueError("the cutoff search needs n_max >= 2")
@@ -371,13 +361,8 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     center, scale = instance.center, instance.scale
 
     # ---- probe phase
-    if instance.uses_fold:
-        ps_probe, pc_probe = instance.design_polys(*_PROBE_DELTAS)
-        probe_states = instance.folded_states(ps_probe, pc_probe)
-    else:
-        ps_probe = pc_probe = None
-        probe_states = instance.exact_states()
-    dev_probe = _deviation(probe_states, center, scale)
+    ps_probe, pc_probe = instance.design_polys(*_PROBE_DELTAS)
+    dev_probe = instance.deviations(instance.model_states(ps_probe, pc_probe))
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
     probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
     probe_major = carleman.majorant_and_contractivity(probe_coeffs, _N_PROBE)
@@ -389,7 +374,7 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     unit_probe = stacked_probe / np.linalg.norm(stacked_probe)
     block_dim_probe = carleman.delta_dim(grads.d, _N_PROBE)
     probe_term = extract_terminal(unit_probe, m, n, block_dim_probe, t_window)
-    p_star = p_star_fraction * probe_term.p_term
+    p_star = _P_STAR_FRACTION * probe_term.p_term
 
     # ---- plan
     rho_plan = min(probe_major.rho + _RHO_MARGIN, 0.995)
@@ -416,26 +401,21 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
 
     # ---- final surrogates and trajectory
     monitor = instance.fresh_monitor()
-    if instance.uses_fold:
-        p_s, p_c = instance.design_polys(plan.delta_s, plan.delta_c)
-        model_states = instance.folded_states(p_s, p_c, monitor)
-    else:
-        p_s = p_c = None
-        model_states = instance.exact_states()
+    p_s, p_c = instance.design_polys(plan.delta_s, plan.delta_c)
+    dev_model = instance.deviations(instance.model_states(p_s, p_c, monitor))
     exact_states = instance.exact_states()
-    dev_model = _deviation(model_states, center, scale)
-    dev_exact = _deviation(exact_states, center, scale)
+    dev_exact = instance.deviations(exact_states)
     vbar = float(max(np.linalg.norm(dev_model, axis=1).max(),
                      np.linalg.norm(dev_exact, axis=1).max()))
 
     # ---- cutoff selection by direct tails; only the cutoff varies, so the
     # final step map is expanded once, and not at all when the final
     # surrogates are the probe's
-    if _same_surrogate(p_s, ps_probe) and _same_surrogate(p_c, pc_probe):
+    if p_s is ps_probe and p_c is pc_probe:
         coeffs = probe_coeffs
     else:
         coeffs = instance.build_expansion(p_s, p_c)
-    lam = getattr(instance, "lam", None)
+    lam = instance.lam
     chosen = None
     for n_levels in range(2, n_max + 1):
         major = carleman.majorant_and_contractivity(coeffs, n_levels)
@@ -460,7 +440,7 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     # drop levels until the assembled matrix fits, the tail hypothesis then
     # reports whatever accuracy the smaller lift actually delivers
     while (n_levels > 2 and
-           (t_window + 1) * (step.b_matrix.nnz + step.dim) > max_stacked_nnz):
+           (t_window + 1) * (step.b_matrix.nnz + step.dim) > _MAX_STACKED_NNZ):
         n_levels -= 1
         major = carleman.majorant_and_contractivity(coeffs, n_levels)
         tail = carleman.tail_constant_and_cutoff(

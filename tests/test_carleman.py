@@ -99,9 +99,10 @@ class TestLiftLayout:
         np.testing.assert_array_equal(y[off[1]:off[2]], np.kron(v, v))
         np.testing.assert_array_equal(y[off[2]:off[3]], np.kron(np.kron(v, v), v))
 
-    def test_dim_cap_enforced(self):
+    def test_dim_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(carleman, "DEFAULT_DIM_CAP", 10_000)
         with pytest.raises(MemoryError):
-            lift_state(np.zeros(10), 12, dim_cap=10_000)
+            lift_state(np.zeros(10), 12)
 
     @pytest.mark.parametrize("n_levels", [0, -2])
     def test_no_levels_refused(self, n_levels):
@@ -247,9 +248,7 @@ def assert_same_lift(coeffs, n_levels):
 
 
 def shipped_coeffs(instance):
-    polys = instance.design_polys(0.05, 0.05) if instance.uses_fold \
-        else (None, None)
-    return instance.build_expansion(*polys)
+    return instance.build_expansion(*instance.design_polys(0.05, 0.05))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,39 @@ class TestExitCodes:
         code, _ = run([command, "--config", cfg], tmp_path)
         assert code == 2
         assert "n_levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("certify", "[instance]\nmode = bogus\n", "mode"),
+        ("certify", "[instance]\nt_window = -1\n", "t_window"),
+        ("estimate-resources", "[resources]\neps_ls = 2.0\n", "eps_ls"),
+        ("design-polys", "[polys]\ndelta_s = 0.0\n", "delta"),
+        ("build-lift", "[instance]\nname = folded-demo\n"
+                       "[polys]\ndelta_s = 0.0\n", "delta"),
+    ], ids=["mode", "t_window", "eps_ls", "delta_s", "delta_s-build-lift"])
+    def test_value_outside_domain_is_two(self, tmp_path, capsys, command,
+                                         text, key):
+        cfg = write_config(tmp_path, text)
+        code, outdir = run([command, "--config", cfg], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not outdir.exists()
+
+    def test_override_outside_domain_is_two(self, tmp_path, capsys):
+        code, outdir = run(["estimate-resources", "--eps-ls", "2.0"], tmp_path)
+        assert code == 2
+        assert "eps_ls" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_bad_bench_mode_writes_nothing(self, tmp_path, capsys):
+        # clean is valid and would run first; the check refuses the list
+        # before any mode trains
+        cfg = write_config(tmp_path, "[bench]\nsteps = 2\nlog_every = 1\n"
+                                     "eval_size = 4\nmodes = clean,bogus\n")
+        code, outdir = run(["bench-train", "--config", cfg], tmp_path)
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_single_cutoff_is_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[instance]\nn_max = 1\n")
@@ -270,3 +304,40 @@ class TestCommands:
         assert report["sign"]["certificate"]["passed"]
         assert report["clip"]["certificate"]["passed"]
         assert (outdir / "sign_poly.txt").exists()
+
+
+# sha256 of each stage command's files (manifests aside) for both shipped
+# instances at their default configuration, and of bench-compare's report,
+# as the code wrote them before the instances shared one window protocol.
+# Recomputed in a child process with every BLAS pool at one thread.
+_STAGE_DIGESTS = Path(__file__).parent / "data" / "stage_artifacts_sha256.json"
+_STAGE_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+from robustlift.cli import main
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for key in json.loads(sys.argv[1]):
+        name, command = key.split("/")[:2]
+        outdir = os.path.join(tmp, name, command)
+        if os.path.isdir(outdir):
+            continue
+        config = os.path.join(tmp, name + ".ini")
+        with open(config, "w") as fh:
+            fh.write(f"[instance]\\nname = {name}\\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--config", config, "--output-dir", outdir]) == 0
+        for file in sorted(os.listdir(outdir)):
+            if file != "manifest.json":
+                with open(os.path.join(outdir, file), "rb") as fh:
+                    out[f"{name}/{command}/{file}"] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+class TestStageArtifactOracle:
+    def test_stage_outputs_keep_their_bytes(self, pinned_child):
+        want = json.loads(_STAGE_DIGESTS.read_text())
+        got = json.loads(pinned_child(_STAGE_SCRIPT, json.dumps(sorted(want))))
+        assert sorted(got) == sorted(want)
+        differing = [key for key in want if got[key] != want[key]]
+        assert differing == []

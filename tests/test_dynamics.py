@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from robustlift import dynamics
 from robustlift.dynamics import (
     AffineGradient,
     AttackSubstep,
@@ -399,7 +400,7 @@ class TestMapCoeffs:
             assert coeffs.operator_norm(ell) >= spectral - 1e-10
             assert np.isfinite(true)
 
-    def test_high_degree_monomial_placed_by_content(self):
+    def test_high_degree_monomial_placed_by_content(self, monkeypatch):
         # one (6, 6) monomial: 924 of the 4096 columns share its content,
         # out of 12! orderings of its letters
         coeff = np.array([0.7, -1.3])
@@ -408,8 +409,9 @@ class TestMapCoeffs:
         mat = coeffs.as_matrix(12)
         assert time.perf_counter() - start < 1.0
         assert mat.shape == (2, 4096) and mat.nnz == 2 * math.comb(12, 6)
+        monkeypatch.setattr(dynamics, "_MAX_MATRIX_ENTRIES", mat.nnz - 1)
         with pytest.raises(MemoryError, match="entry cap"):
-            coeffs.as_matrix(12, max_entries=mat.nnz - 1)
+            coeffs.as_matrix(12)
         for v in RNG.uniform(-1.5, 1.5, size=(5, 2)):
             power = np.array([1.0])
             for _ in range(12):

@@ -244,9 +244,10 @@ class TestConditioning:
         assert rep.measured_norm <= rep.norm_bound + 1e-10
         assert rep.measured_kappa <= rep.kappa_bound + 1e-8
 
-    def test_dense_limit_skips_svd(self):
+    def test_dense_limit_skips_svd(self, monkeypatch):
         _, _, system = toy_system(t_window=8)
-        rep = condition_bounds(system.rho, 8, system=system, dense_limit=10)
+        monkeypatch.setattr(horizon_module, "DENSE_SVD_LIMIT", 10)
+        rep = condition_bounds(system.rho, 8, system=system)
         assert rep.measured_kappa is None
 
     def test_geometric_bound_tracks_window(self):
@@ -267,12 +268,4 @@ class TestSerialization:
         back = mmread(str(path))
         np.testing.assert_allclose(sparse.csr_matrix(back).toarray(),
                                    system.matrix_normalized.toarray(),
-                                   atol=1e-15)
-
-    def test_unnormalized_option(self, tmp_path):
-        _, _, system = toy_system(t_window=2)
-        path = tmp_path / "raw.mtx"
-        save_matrix_market(system, str(path), normalized=False)
-        back = sparse.csr_matrix(mmread(str(path)))
-        np.testing.assert_allclose(back.toarray(), system.matrix.toarray(),
                                    atol=1e-15)

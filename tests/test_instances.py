@@ -5,9 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import robustlift.instances
 from robustlift.carleman import majorant_and_contractivity
-from robustlift.dynamics import exact_outer_step
+from robustlift.dynamics import StepSchedule, exact_outer_step
 from robustlift.instances import (
+    CertifyInstance,
+    FoldedInstance,
     certify_instance,
     folded_demo_instance,
     random_coeff_map,
@@ -46,9 +49,19 @@ class TestCertifyInstance:
 
     def test_scaled_deviations_stay_in_unit_ball(self):
         inst = certify_instance(50)
-        dev = np.stack([(s.vector - inst.center) * inst.scale
-                        for s in inst.exact_states()])
+        dev = inst.deviations(inst.exact_states())
         assert np.linalg.norm(dev, axis=1).max() < 1.0
+
+    def test_replace_starts_a_fresh_trajectory(self):
+        # a cached trajectory of the old window must not outlive replace
+        inst = certify_instance(5)
+        assert len(inst.exact_states()) == 6
+        longer = replace(inst, sched=StepSchedule.uniform(
+            10, eps_ball=0.02, eta_delta=0.04, eta_u=0.1, alpha=1.0))
+        assert len(longer.exact_states()) == 11
+        cert = run_pipeline_certificate(longer, 0.05)
+        assert cert.to_json() == run_pipeline_certificate(
+            certify_instance(10), 0.05).to_json()
 
     def test_nonuniform_learner_rate_rejected(self):
         inst = certify_instance(3)
@@ -79,7 +92,7 @@ class TestFoldedDemo:
         inst = folded_demo_instance()
         p_s, p_c = inst.design_polys(0.05, 0.05)
         monitor = inst.fresh_monitor()
-        states = inst.folded_states(p_s, p_c, monitor)
+        states = inst.model_states(p_s, p_c, monitor)
         assert len(states) == inst.sched.t_window + 1
         for s in states:
             assert np.max(np.abs(s.delta)) <= inst.sched.eps_ball + 1e-15
@@ -116,12 +129,50 @@ class TestFoldedDemo:
         with pytest.raises(ValueError, match="uniform schedule"):
             run_pipeline_certificate(inst, 0.3, mode="state")
 
-    def test_expansion_degree_capped(self):
+    def test_expansion_degree_capped(self, monkeypatch):
         inst = folded_demo_instance()
-        inst.max_expand_degree = 10
+        monkeypatch.setattr(robustlift.instances, "_MAX_EXPAND_DEGREE", 10)
         p_s, p_c = inst.design_polys(0.05, 0.05)
         with pytest.raises(ValueError):
             inst.build_expansion(p_s, p_c)
+
+
+class TestWindowProtocol:
+    @pytest.mark.parametrize("make", [certify_instance, folded_demo_instance])
+    def test_both_classes_answer_the_five_calls(self, make):
+        inst = make(6)
+        p_s, p_c = inst.design_polys(0.05, 0.05)
+        states = inst.model_states(p_s, p_c, inst.fresh_monitor())
+        assert len(states) == 7
+        dev = inst.deviations(states)
+        want = (np.stack([s.vector for s in states]) - inst.center) * inst.scale
+        assert dev.tobytes() == want.tobytes()
+        assert inst.build_expansion(p_s, p_c).d == inst.grads.d
+
+    def test_certify_model_is_the_exact_trajectory(self):
+        inst = certify_instance(6)
+        assert inst.design_polys(0.05, 0.05) == (None, None)
+        assert inst.fresh_monitor() is None
+        assert inst.model_states(None, None) is inst.exact_states()
+        assert not CertifyInstance.uses_fold and FoldedInstance.uses_fold
+
+    def test_fixed_surrogates_certified_once(self, monkeypatch):
+        calls = []
+        verify = robustlift.instances.verify_poly_spec
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(robustlift.instances, "verify_poly_spec", counted)
+        inst = folded_demo_instance(6)
+        assert len(calls) == 2
+        first = inst.design_polys(1e-3, 1e-3)
+        second = inst.design_polys(0.05, 0.02)
+        assert len(calls) == 2
+        assert first[0] is second[0] and first[1] is second[1]
+        assert first[0].certificate is not None
+        assert first[1].certificate is not None
 
 
 class TestRandomFamilies:

@@ -36,3 +36,54 @@ def test_no_private_names_imported_from_siblings(name):
                for alias in node.names
                if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert private == []
+
+
+# settings no caller set, now module constants (named in the comments);
+# none of them may come back as a parameter of the callable it left
+_REMOVED_PARAMETERS = {
+    ("readout", "run_pipeline_certificate"): (
+        "max_stacked_nnz",   # _MAX_STACKED_NNZ
+        "p_star_fraction"),  # _P_STAR_FRACTION
+    ("polyapprox", "design_sign_poly"): (
+        "max_degree",    # _MAX_DESIGN_DEGREE
+        "grid_density",  # _DESIGN_DENSITY
+        "mode"),         # always "auto"
+    ("polyapprox", "design_clip_poly"): (
+        "max_degree", "grid_density", "mode"),
+    ("polyapprox", "degrees_from_budget"): (
+        "c_s", "c_little_s"),  # DEFAULT_C_S, DEFAULT_C_LITTLE_S
+    ("dynamics", "expand_polynomial_map"): (
+        "tol",           # _EXPAND_TOL
+        "check_points",  # _EXPAND_CHECK_POINTS
+        "rng",           # a generator seeded with 0
+        "max_grid"),     # _MAX_EXPAND_GRID
+    ("dynamics", "PolynomialMapCoeffs.as_matrix"): (
+        "max_entries",),  # _MAX_MATRIX_ENTRIES
+    ("carleman", "lift_state"): ("dim_cap",),  # DEFAULT_DIM_CAP
+    ("carleman", "build_lifted_step"): ("dim_cap",),
+    ("carleman", "run_truncated_recurrence"): ("dim_cap",),
+    ("horizon", "condition_bounds"): ("dense_limit",),  # DENSE_SVD_LIMIT
+    ("horizon", "save_matrix_market"): ("normalized",),
+}
+# constructor fields of the instance classes that became class variables
+# (uses_fold), module constants or a non-init cache
+_REMOVED_FIELDS = ("uses_fold", "max_expand_degree", "declared_delta_s",
+                   "declared_delta_c", "_cache")
+
+
+@pytest.mark.parametrize("where", sorted(_REMOVED_PARAMETERS),
+                         ids=".".join)
+def test_removed_settings_stay_removed(where):
+    target = importlib.import_module(f"robustlift.{where[0]}")
+    for attr in where[1].split("."):
+        target = getattr(target, attr)
+    params = set(inspect.signature(target).parameters)
+    assert params.isdisjoint(_REMOVED_PARAMETERS[where])
+
+
+@pytest.mark.parametrize("cls", ["CertifyInstance", "FoldedInstance"])
+def test_instance_fields_stay_removed(cls):
+    params = inspect.signature(
+        getattr(importlib.import_module("robustlift.instances"), cls)).parameters
+    assert set(params).isdisjoint(_REMOVED_FIELDS)
+    assert not [name for name in params if name.startswith("_")]

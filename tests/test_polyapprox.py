@@ -339,8 +339,7 @@ class TestSearchMatchesFullVerify:
         monkeypatch.setattr(polyapprox, "_grid_check", counted)
         spec = ClipSpec(2.0, 0.1, 0.02)
         polyapprox._search_sign(
-            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
-            4000, 1e4, "auto")
+            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l))
         by_degree = {}
         for degree, label, passed in calls:
             by_degree.setdefault(degree, []).append((label, passed))
@@ -372,8 +371,7 @@ class TestSearchMatchesFullVerify:
         monkeypatch.setattr(polyapprox, "_grid_check", counted_check)
         spec = ClipSpec(2.0, 0.1, 0.02)
         polyapprox._search_sign(
-            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l),
-            4000, 1e4, "auto")
+            SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l))
         assert list(read) == list(grid)
         *failed, passed = grid
         assert read[passed] == grid[passed]

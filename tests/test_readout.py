@@ -2,16 +2,13 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import robustlift
+import robustlift.readout
 from robustlift.carleman import build_lifted_step, lift_state
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
@@ -21,13 +18,11 @@ from robustlift.instances import (
     folded_demo_instance,
     random_coeff_map,
 )
-from robustlift.polyapprox import OddPolynomial
 from robustlift.readout import (
     BudgetLine,
     InfeasibleBudgetError,
     PlanInputs,
     _row_access_spot_check,
-    _same_surrogate,
     extract_terminal,
     plan_budgets,
     run_pipeline_certificate,
@@ -214,21 +209,22 @@ class TestPipelineCertificate:
         assert payload["terminal"]["state"] is not None
         assert "H5_terminal_weight" in payload["hypotheses"]
 
-    def test_p_star_tracks_fraction(self):
-        half = run_pipeline_certificate(certify_instance(10), 0.05,
-                                        p_star_fraction=0.5)
-        full = run_pipeline_certificate(certify_instance(10), 0.05,
-                                        p_star_fraction=0.9)
+    def test_p_star_tracks_fraction(self, monkeypatch):
+        monkeypatch.setattr(robustlift.readout, "_P_STAR_FRACTION", 0.5)
+        half = run_pipeline_certificate(certify_instance(10), 0.05)
+        monkeypatch.setattr(robustlift.readout, "_P_STAR_FRACTION", 0.9)
+        full = run_pipeline_certificate(certify_instance(10), 0.05)
         ratio = (full.hypotheses["H5_terminal_weight"]["p_star"]
                  / half.hypotheses["H5_terminal_weight"]["p_star"])
         assert ratio == pytest.approx(1.8, rel=1e-9)
 
-    def test_lift_cap_bounds_the_stacked_system(self):
+    def test_lift_cap_bounds_the_stacked_system(self, monkeypatch):
         # a cap nothing fits under floors the lift at two levels; the
         # certificate still reports whatever that lift delivers
         inst = folded_demo_instance()
         free = run_pipeline_certificate(inst, 0.3)
-        capped = run_pipeline_certificate(inst, 0.3, max_stacked_nnz=1)
+        monkeypatch.setattr(robustlift.readout, "_MAX_STACKED_NNZ", 1)
+        capped = run_pipeline_certificate(inst, 0.3)
         assert capped.n_levels == 2 < free.n_levels
         assert set(capped.hypotheses) == set(free.hypotheses)
         assert json.loads(capped.to_json())["n_levels"] == 2
@@ -304,34 +300,16 @@ class TestPipelineCertificate:
         assert calls == [cert.measurements["dim"]]
 
 
-class TestSameSurrogate:
-    def test_equal_bytes_and_halfwidth_match(self):
-        a = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
-        b = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
-        assert _same_surrogate(a, b) and _same_surrogate(None, None)
-
-    def test_any_difference_is_a_new_map(self):
-        a = OddPolynomial(np.array([1.1932, -0.2339]), halfwidth=1.0)
-        assert not _same_surrogate(a, replace(a, halfwidth=2.0))
-        assert not _same_surrogate(a, OddPolynomial(np.array([1.1932, -0.2339, 0.1])))
-        assert not _same_surrogate(
-            a, replace(a, odd_coeffs=np.nextafter(a.odd_coeffs, 0.0)))
-        assert not _same_surrogate(a, None) and not _same_surrogate(None, a)
-
-
 # to_json() of three certificates as the code emitted them before the
 # fold was made single-pass; every later change must keep their bytes.
-# kappa_measured comes from a LAPACK SVD whose last bits depend on the
-# BLAS thread count, so the files were written, and are recomputed, by a
-# child process with every BLAS pool at one thread.
+# The files were written, and are recomputed, by a child process with
+# every BLAS pool at one thread (see `pinned_child`).
 _ORACLE = Path(__file__).parent / "data"
 _ORACLE_CASES = {
     "saturated_toy_T50_eps0.05_terminal.json": ("certify_instance", 50, 0.05, "terminal"),
     "folded_demo_T6_eps0.3_state.json": ("folded_demo_instance", 6, 0.3, "state"),
     "folded_demo_T6_eps0.05_state.json": ("folded_demo_instance", 6, 0.05, "state"),
 }
-_ONE_THREAD = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 _ORACLE_SCRIPT = """
 import json, sys
 from robustlift import instances
@@ -365,15 +343,8 @@ def _first_difference(got, want, path="$"):
 
 
 @pytest.fixture(scope="module")
-def oracle_certificates():
-    env = dict(os.environ, **{k: "1" for k in _ONE_THREAD})
-    src = str(Path(robustlift.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _ORACLE_SCRIPT,
-                           json.dumps(_ORACLE_CASES)],
-                          env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+def oracle_certificates(pinned_child):
+    return json.loads(pinned_child(_ORACLE_SCRIPT, json.dumps(_ORACLE_CASES)))
 
 
 class TestCertificateOracle:
