@@ -79,21 +79,25 @@ class _Window:
     tau_c: float
     big_l: float
     lam: float | None = None
-    # not an init field, so `dataclasses.replace` starts a fresh trajectory
-    _exact: list[CoupledState] | None = field(default=None, init=False,
-                                              repr=False, compare=False)
+    # the trajectory, with the (sched, grads, v0) objects it was computed
+    # from; not an init field, so `dataclasses.replace` starts a fresh one
+    _exact: tuple[tuple, list[CoupledState]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     # whether the model steps through surrogates rather than exactly
     uses_fold: ClassVar[bool]
 
     def exact_states(self) -> list[CoupledState]:
-        if self._exact is None:
+        """The exact trajectory, recomputed once sched, grads or v0 is reassigned."""
+        inputs = (self.sched, self.grads, self.v0)
+        if self._exact is None or any(
+                now is not then for now, then in zip(inputs, self._exact[0])):
             states = [self.v0]
             for t in range(self.sched.t_window):
                 states.append(exact_outer_step(states[-1], t, self.sched,
                                                self.grads))
-            self._exact = states
-        return self._exact
+            self._exact = (inputs, states)
+        return self._exact[1]
 
     def deviations(self, states) -> np.ndarray:
         """Scaled coordinates (v - center) * scale, one row per state."""

@@ -11,9 +11,13 @@ Two building blocks are produced here:
 Construction is Chebyshev interpolation of an erf-mollified sign whose
 width is tied to the gap, followed by an incremental degree search until
 an explicit verifier certifies the requested bounds.  The grid verifier
-reads each clause's grid in fixed-size chunks: a final certificate reads
-every chunk, while a search candidate, of which only pass or fail is
-kept, stops at its first failing chunk.  Polynomials are kept in the odd
+reads each clause's grid in fixed-size chunks and evaluates them with an
+in-place Clenshaw kernel, which gives numpy's chebval magnitudes bit for
+bit without allocating per step, and folds each zero coefficient of an
+odd series into the step after it.  A final certificate reads every
+chunk.  A search candidate, of which only pass or fail is kept, first
+reads a window around the point where the previous candidate failed and
+stops at its first failing chunk.  Polynomials are kept in the odd
 Chebyshev basis of their interval; near-minimax approximants of the
 degrees needed here have astronomically large monomial coefficients, so
 a monomial form only exists as a low-degree export convenience.
@@ -56,10 +60,13 @@ _DESIGN_DENSITY = 1e4
 
 _MONOMIAL_EXPORT_MAX_DEGREE = 60
 
-# grid points per chebval call when a clause is scanned: large enough that
-# chebval's per-call cost stays small beside a full certificate, small
-# enough that a failing search candidate stops well before its grid ends
-_GRID_CHUNK = 8192
+# grid points per kernel call when a clause is scanned: the per-call cost
+# of a Clenshaw pass stays small beside a full certificate, and a failing
+# search candidate, which reads its hinted window first, seldom needs more
+_GRID_CHUNK = 16384
+# points read first around where the previous search candidate failed;
+# at most _GRID_CHUNK, the length of the kernel's buffers
+_HINT_WINDOW = 1024
 
 
 class PolyDesignError(RuntimeError):
@@ -282,39 +289,120 @@ def _target_series(poly: OddPolynomial, target: str) -> np.ndarray:
     return full
 
 
-def _grid_chunks(grids) -> Iterator[np.ndarray]:
+def _grid_points(a: float, b: float, n: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1 of np.linspace(a, b, n), bit for bit.
+
+    Repeats numpy's own arithmetic: index * step + a, the subnormal-step
+    branch, and the exact endpoint.
+    """
+    delta = b - a
+    step = delta / (n - 1)
+    xs = np.arange(lo, hi, dtype=float)
+    if step == 0:
+        xs /= n - 1
+        xs *= delta
+    else:
+        xs *= step
+    xs += a
+    if hi == n:
+        xs[-1] = b
+    return xs
+
+
+def _grid_chunks(grids, window=None) -> Iterator[np.ndarray]:
     """The points of np.linspace(a, b, n) for each (a, b, n), _GRID_CHUNK at a time.
 
-    Each chunk repeats numpy's own arithmetic (index * step + a, the
-    subnormal-step branch, the exact endpoint), so the chunks of a grid
-    concatenate to its np.linspace bit for bit.
+    The chunks of a grid concatenate to its np.linspace bit for bit.  A
+    window (g, lo, hi) is read first, as points lo..hi-1 of grids[g];
+    that grid then goes on from hi to its end and wraps round to lo, so
+    every point is still read once.
     """
-    for a, b, n in grids:
-        delta = b - a
-        step = delta / (n - 1)
-        for lo in range(0, n, _GRID_CHUNK):
-            hi = min(lo + _GRID_CHUNK, n)
-            xs = np.arange(lo, hi, dtype=float)
-            if step == 0:
-                xs /= n - 1
-                xs *= delta
-            else:
-                xs *= step
-            xs += a
-            if hi == n:
-                xs[-1] = b
-            yield xs
+    if window is not None:
+        g, w_lo, w_hi = window
+        yield _grid_points(*grids[g], w_lo, w_hi)
+    for i, (a, b, n) in enumerate(grids):
+        rotated = window is not None and i == g
+        spans = ((w_hi, n), (0, w_lo)) if rotated else ((0, n),)
+        for lo, hi in spans:
+            for start in range(lo, hi, _GRID_CHUNK):
+                yield _grid_points(a, b, n, start, min(start + _GRID_CHUNK, hi))
+
+
+def _abs_chebval(t: np.ndarray, series: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """|C.chebval(t, series)| for a 1-d float series, bit for bit, into work.
+
+    numpy's Clenshaw recurrence, operation for operation and in its
+    order, written into the four rows of work (each at least len(t)
+    long) instead of fresh arrays; the result is a view into work.  A
+    step whose coefficient is exactly 0 is deferred into the step after
+    it, which then forms c1*x2 - c1_prev in place of numpy's
+    (0 - c1_prev) + c1*x2: one subtraction fewer per zero coefficient,
+    as in every odd series.  The two forms round the same real number
+    and differ only in the sign of a zero result, which the absolute
+    value removes.
+    """
+    x2, c0, c1, spare = work[:, :len(t)]
+    if len(series) < 3:
+        # numpy's c0 + c1*x, with c1 = 0 for a constant series
+        np.multiply(series[1] if len(series) == 2 else 0.0, t, out=spare)
+        np.add(series[0], spare, out=spare)
+        return np.abs(spare, out=spare)
+    np.multiply(2.0, t, out=x2)
+    c0.fill(series[-2])
+    c1.fill(series[-1])
+    deferred = False  # c0 holds c1_prev, standing for 0 - c1_prev
+    for k in series[-3::-1]:
+        np.multiply(c1, x2, out=spare)
+        if deferred:
+            np.subtract(spare, c0, out=spare)
+        else:
+            np.add(c0, spare, out=spare)
+        deferred = k == 0.0
+        if deferred:
+            c0, c1, spare = c1, spare, c0
+        else:
+            np.subtract(k, c1, out=c0)
+            c1, spare = spare, c1
+    np.multiply(c1, t, out=spare)
+    if deferred:
+        np.subtract(spare, c0, out=spare)
+    else:
+        np.add(c0, spare, out=spare)
+    return np.abs(spare, out=spare)
+
+
+@dataclass
+class _FailHint:
+    """Where the last failing search candidate failed: the x of the worst
+    point in its failing chunk, or None before any candidate failed."""
+
+    x: float | None = None
+
+
+def _hint_window(grids, x: float):
+    """(g, lo, hi): the _HINT_WINDOW points of the first grid around x, if any."""
+    for g, (a, b, n) in enumerate(grids):
+        if a <= x <= b:
+            mid = round((x - a) / (b - a) * (n - 1)) if b > a else 0
+            lo = min(max(mid - _HINT_WINDOW // 2, 0), max(n - _HINT_WINDOW, 0))
+            return g, lo, min(lo + _HINT_WINDOW, n)
+    return None
 
 
 def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
-                stop_at_fail: bool = False) -> CheckResult:
+                stop_at_fail: bool = False,
+                hint: _FailHint | None = None) -> CheckResult:
     """Grid sup of |P - target| on the clause, inflated to a sound bound.
 
     The grid is read chunk by chunk.  With stop_at_fail the scan returns
     a failed result at the first chunk whose running sup plus the
     inflation exceeds the bound; its observed_sup then covers only the
     chunks read.  That early fail is final: the sup can only grow, and
-    a NaN value or inflation fails the clause.
+    a NaN value or inflation fails the clause.  A search passes its hint
+    as well: the scan then reads the points around hint.x first, where
+    the previous candidate failed, and on a fail leaves there the x of
+    the worst point of its failing chunk.  The sup is a max, so the
+    order changes what a failing scan reads, never pass or fail.
     """
     series = _target_series(poly, check.target)
     deriv_sup = float(np.sum(np.abs(C.chebder(series)))) / poly.halfwidth
@@ -329,11 +417,19 @@ def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
         # np.maximum, not max(): max(x, nan) is x, and a NaN must fail
         inflation = float(np.maximum(inflation, 0.5 * h * deriv_sup))
     limit = check.bound + 1e-12 * max(1.0, check.bound)
+    window = None
+    if stop_at_fail and hint is not None and hint.x is not None:
+        window = _hint_window(grids, hint.x)
+    # the kernel's four rows, and a fifth for the chunk in t = x/halfwidth
+    work = np.empty((5, min(_GRID_CHUNK, max(n for _, _, n in grids))))
     sup = 0.0
-    for xs in _grid_chunks(grids):
-        vals = np.abs(C.chebval(xs / poly.halfwidth, series))
+    for xs in _grid_chunks(grids, window):
+        t = np.divide(xs, poly.halfwidth, out=work[4, :len(xs)])
+        vals = _abs_chebval(t, series, work[:4])
         sup = float(np.maximum(sup, vals.max()))
         if stop_at_fail and not sup + inflation <= limit:
+            if hint is not None:
+                hint.x = float(xs[np.argmax(vals)])
             break
     certified = sup + inflation
     return CheckResult(check.label, check.target, check.bound, sup, inflation,
@@ -374,14 +470,14 @@ def _clause_results(
     checks: list[PolyCheck] | tuple[PolyCheck, ...],
     grid_density: float,
     mode: str,
-    stop_at_fail: bool = False,
+    hint: _FailHint | None = None,
 ) -> tuple[str, Iterator[CheckResult]]:
     """Resolved mode and a lazy iterator of one CheckResult per clause.
 
     A clause is evaluated only when the iterator reaches it, so a caller
-    that stops at the first failed clause skips the rest.  With
-    stop_at_fail a grid clause also stops at its first failing chunk,
-    for callers that need only pass or fail.
+    that stops at the first failed clause skips the rest.  Given a search
+    hint, a grid clause also reads around it first and stops at its
+    first failing chunk, for callers that need only pass or fail.
     """
     if not checks:
         raise ValueError("need at least one clause to certify")
@@ -393,7 +489,7 @@ def _clause_results(
     if mode == "grid" and grid_density < 1e4:
         raise ValueError("grid_density must be at least 1e4 per unit length")
     if mode == "grid":
-        return mode, (_grid_check(poly, c, grid_density, stop_at_fail)
+        return mode, (_grid_check(poly, c, grid_density, hint is not None, hint)
                       for c in checks)
     if mode == "critical":
         return mode, (_critical_check(poly, c) for c in checks)
@@ -463,20 +559,22 @@ def _search_sign(spec: SignSpec) -> tuple[OddPolynomial, float]:
 
     Each candidate's clauses run only up to the first that fails, and a
     grid clause only up to its first failing chunk: the search keeps
-    pass or fail, never the partial certificate.
+    pass or fail, never the partial certificate.  A hint carries the x
+    where one candidate failed to the next, whose grid clauses read
+    there first.
     """
     tau_t = spec.tau / spec.halfwidth
     target, w = _mollified_sign(tau_t, spec.delta)
     checks_unit = sign_checks(SignSpec(1.0, tau_t, spec.delta))
 
     deg = max(3, int(math.ceil(1.2 / w)) | 1)
+    hint = _FailHint()
     while deg <= _MAX_DESIGN_DEGREE:
         full = C.chebinterpolate(target, deg)
         full[0::2] = 0.0  # odd target: even coefficients are rounding noise
         cand = OddPolynomial(full[1::2], 1.0)
         density = _design_density(cand, _DESIGN_DENSITY, spec.delta)
-        _, results = _clause_results(cand, checks_unit, density, "auto",
-                                     stop_at_fail=True)
+        _, results = _clause_results(cand, checks_unit, density, "auto", hint)
         if all(r.passed for r in results):
             return cand, density
         step = max(2, int(0.08 * deg) & ~1)

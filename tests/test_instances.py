@@ -63,6 +63,19 @@ class TestCertifyInstance:
         assert cert.to_json() == run_pipeline_certificate(
             certify_instance(10), 0.05).to_json()
 
+    def test_assignment_starts_a_fresh_trajectory(self):
+        # plain assignment of a field must not leave the old trajectory
+        inst = certify_instance(5)
+        inst.exact_states()
+        inst.sched = StepSchedule.uniform(10, eps_ball=0.02, eta_delta=0.04,
+                                          eta_u=0.1, alpha=1.0)
+        assert len(inst.exact_states()) == 11
+        cert = run_pipeline_certificate(inst, 0.05)
+        assert cert.to_json() == run_pipeline_certificate(
+            certify_instance(10), 0.05).to_json()
+        inst.v0 = certify_instance(10).exact_states()[1]
+        assert inst.exact_states()[0] is inst.v0
+
     def test_nonuniform_learner_rate_rejected(self):
         inst = certify_instance(3)
         object.__setattr__(inst.sched, "eta_u",

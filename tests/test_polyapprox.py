@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.polynomial import chebyshev as C
 
 from robustlift import polyapprox
@@ -187,8 +188,9 @@ class TestClipDesign:
         assert np.max(np.abs(poly(xs))) <= 1.0
 
 
-def _full_verify_sign(spec, grid_density=1e4, mode="auto"):
-    """Reference degree walk: every candidate gets a full certificate."""
+def _search_sign_no_hint(spec, grid_density=1e4, mode="auto"):
+    """Reference degree walk: every candidate gets a full certificate, read
+    in grid order, and no hint passes from one candidate to the next."""
     tau_t = spec.tau / spec.halfwidth
     target, w = polyapprox._mollified_sign(tau_t, spec.delta)
     checks_unit = sign_checks(SignSpec(1.0, tau_t, spec.delta))
@@ -199,10 +201,16 @@ def _full_verify_sign(spec, grid_density=1e4, mode="auto"):
         cand = OddPolynomial(full[1::2], 1.0)
         density = polyapprox._design_density(cand, grid_density, spec.delta)
         if verify_poly_spec(cand, checks_unit, density, mode).passed:
-            final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
-            cert = verify_poly_spec(final, sign_checks(spec), density, mode)
-            return replace(final, certificate=cert)
+            return cand, density
         deg += max(2, int(0.08 * deg) & ~1)
+
+
+def _full_verify_sign(spec, grid_density=1e4, mode="auto"):
+    """Reference sign design over the fully verified degree walk."""
+    cand, density = _search_sign_no_hint(spec, grid_density, mode)
+    final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
+    cert = verify_poly_spec(final, sign_checks(spec), density, mode)
+    return replace(final, certificate=cert)
 
 
 def _full_verify_clip(spec, grid_density=1e4, mode="auto"):
@@ -252,20 +260,40 @@ def _bits(result):
 
 
 CHUNK = polyapprox._GRID_CHUNK
-GRID_SIZES = [2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+HALF = CHUNK // 2
+# grids around half a chunk and around one and two chunks
+GRID_SIZES = [2, HALF - 1, HALF, HALF + 1, CHUNK + 3,
+              CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
 
 
 class TestChunkedGrid:
     @pytest.mark.parametrize("a, b, n", [
-        (-0.5, 0.5, 2), (-0.5, 0.5, CHUNK - 1), (0.1, 0.7, CHUNK),
-        (-1.0, 0.3, CHUNK + 1), (-2.5, 2.5, 2 * CHUNK + 3), (0.3, 0.3, 7),
-        (0.0, 5e-324, 4), (1.0, 1.0 + 2e-308, CHUNK + 5),
+        (-0.5, 0.5, 2), (0.3, 0.3, 7), (0.0, 5e-324, 4),
+        (-0.5, 0.5, HALF - 1), (0.1, 0.7, HALF), (-1.0, 0.3, HALF + 1),
+        (-2.5, 2.5, 2 * HALF + 3), (1.0, 1.0 + 2e-308, HALF + 5),
+        (-0.5, 0.5, CHUNK - 1), (0.1, 0.7, CHUNK), (-1.0, 0.3, CHUNK + 1),
+        (-2.5, 2.5, 2 * CHUNK + 3), (1.0, 1.0 + 2e-308, CHUNK + 5),
     ])
     def test_chunks_concatenate_to_linspace(self, a, b, n):
         chunks = list(polyapprox._grid_chunks([(a, b, n)]))
         assert all(len(xs) <= CHUNK for xs in chunks)
         assert (np.concatenate(chunks).tobytes()
                 == np.linspace(a, b, n).tobytes())
+
+    @pytest.mark.parametrize("n, lo, hi", [
+        (2, 0, 2), (CHUNK + 1, 0, 5), (2 * CHUNK + 3, CHUNK - 7, CHUNK + 9),
+        (2 * CHUNK + 3, 2 * CHUNK - 1, 2 * CHUNK + 3),
+    ])
+    def test_window_first_reads_every_point_once(self, n, lo, hi):
+        # the window, then the rest of its grid from hi on, wrapping to lo
+        grids = [(-0.5, 0.7, n), (1.0, 1.0 + 2e-308, 9)]
+        chunks = list(polyapprox._grid_chunks(grids, (0, lo, hi)))
+        assert all(len(xs) <= CHUNK for xs in chunks)
+        line = np.linspace(-0.5, 0.7, n)
+        want = np.concatenate([line[lo:hi], line[hi:], line[:lo],
+                               np.linspace(1.0, 1.0 + 2e-308, 9)])
+        assert chunks[0].tobytes() == line[lo:hi].tobytes()
+        assert np.concatenate(chunks).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", GRID_SIZES)
     @pytest.mark.parametrize("target", ["zero", "plus_one", "minus_one",
@@ -297,6 +325,7 @@ class TestChunkedGrid:
         density = float(n - 1) / (interval[1] - interval[0])
         base = polyapprox._grid_check(
             poly, PolyCheck((interval,), target, 1.0), density)
+        lo, hi = interval
         for scale in (0.5, 0.999, 1.0, 1.001, 2.0):
             check = PolyCheck((interval,), target, scale * base.certified_sup)
             full = polyapprox._grid_check(poly, check, density)
@@ -305,6 +334,106 @@ class TestChunkedGrid:
             assert stopped.observed_sup <= full.observed_sup
             if full.passed:
                 assert _bits(stopped) == _bits(full)
+            # a hint only reorders the scan: inside, at the ends, outside
+            for x in (None, lo, 0.3 * lo + 0.7 * hi, hi, hi + 1.0):
+                hint = polyapprox._FailHint(x)
+                hinted = polyapprox._grid_check(poly, check, density, True,
+                                                hint)
+                assert hinted.passed == full.passed
+                assert hinted.observed_sup <= full.observed_sup
+                if full.passed:
+                    assert _bits(hinted) == _bits(full) and hint.x == x
+                else:
+                    assert lo <= hint.x <= hi
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.5e-310, -1e-308]
+
+
+@st.composite
+def _series(draw, odd):
+    """A float Chebyshev series of degree 0-400, dense or mostly zero,
+    with a few special entries."""
+    n = draw(st.integers(1, 401))
+    finite = st.floats(-1e3, 1e3, allow_subnormal=True)
+    if draw(st.booleans()):
+        c = draw(hnp.arrays(np.float64, n, elements=finite))
+    else:
+        c = np.zeros(n)
+    entry = st.one_of(st.sampled_from(_SPECIAL), finite)
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), entry),
+                              max_size=4)):
+        c[i] = v
+    if odd:
+        c[0::2] = draw(st.sampled_from([0.0, -0.0]))
+    return c
+
+
+@st.composite
+def _unit_grid(draw):
+    """t in [-1, 1]: a linspace through 0 and +-1 exactly, and a few more."""
+    n = 2 * draw(st.integers(1, 150)) + 1
+    extra = draw(st.lists(st.floats(-1.0, 1.0), max_size=8))
+    return np.concatenate([np.linspace(-1.0, 1.0, n), extra])
+
+
+def _kernel_bytes(t, series):
+    work = np.empty((4, len(t) + 3))  # rows longer than t, as in a last chunk
+    return polyapprox._abs_chebval(t, series, work).tobytes()
+
+
+class TestAbsChebval:
+    """The grid verifier's kernel against np.abs(C.chebval), byte for byte."""
+
+    @given(st.booleans().flatmap(_series), _unit_grid())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_chebval(self, series, t):
+        with np.errstate(all="ignore"):
+            want = np.abs(C.chebval(t, series)).tobytes()
+            assert _kernel_bytes(t, series) == want
+
+    @given(_series(odd=False), st.sampled_from([1.0, 2.0, 3.0, 0.7]),
+           st.sampled_from(["zero", "plus_one", "minus_one", "identity"]),
+           _unit_grid())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_chebval_on_target_series(self, coeffs, halfwidth, target,
+                                              t):
+        # odd coefficients of degree <= 399, as OddPolynomial stores them
+        poly = OddPolynomial(coeffs[:max(1, len(coeffs) // 2)], halfwidth)
+        series = polyapprox._target_series(poly, target)
+        with np.errstate(all="ignore"):
+            want = np.abs(C.chebval(t, series)).tobytes()
+            assert _kernel_bytes(t, series) == want
+
+    @pytest.mark.parametrize("series", [
+        [2.5], [-0.0], [math.nan], [-math.inf], [5e-324],
+        [1.0, -2.0], [0.0, 5e-324], [-0.0, math.inf], [0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0], [1.0, 0.0, 5e-324], [0.0, 5e-324, 0.0, 0.0],
+    ])
+    def test_short_and_sparse_series(self, series):
+        t = np.linspace(-1.0, 1.0, 9)
+        series = np.array(series)
+        with np.errstate(all="ignore"):
+            want = np.abs(C.chebval(t, series)).tobytes()
+            assert _kernel_bytes(t, series) == want
+
+    def test_designed_series(self):
+        poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
+        t = np.linspace(-1.0, 1.0, 40001)
+        for target in ("zero", "plus_one", "minus_one", "identity"):
+            series = polyapprox._target_series(poly, target)
+            assert (_kernel_bytes(t, series)
+                    == np.abs(C.chebval(t, series)).tobytes())
+
+    def test_grid_check_calls_no_chebval(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("chebval called")
+
+        poly = design_sign_poly(SignSpec(1.0, 0.2, 0.05))
+        monkeypatch.setattr(polyapprox.C, "chebval", refused)
+        assert polyapprox._grid_check(
+            poly, PolyCheck(((-1.0, 1.0),), "zero", 1.0), 1e4).passed
 
 
 class TestSearchMatchesFullVerify:
@@ -330,9 +459,9 @@ class TestSearchMatchesFullVerify:
         calls = []
         grid_check = polyapprox._grid_check
 
-        def counted(poly, check, density, stop_at_fail=False):
+        def counted(poly, check, density, stop_at_fail=False, hint=None):
             assert stop_at_fail
-            result = grid_check(poly, check, density, stop_at_fail)
+            result = grid_check(poly, check, density, stop_at_fail, hint)
             calls.append((poly.degree, check.label, result.passed))
             return result
 
@@ -352,22 +481,22 @@ class TestSearchMatchesFullVerify:
         assert len(calls) < 3 * len(by_degree)
 
     def test_failing_candidates_read_part_of_their_grids(self, monkeypatch):
-        # chebval input sizes of the clip's inner search, per candidate,
+        # kernel input sizes of the clip's inner search, per candidate,
         # against the full grids of the clauses each candidate started
         read, grid = {}, {}
-        chebval, grid_check = C.chebval, polyapprox._grid_check
+        kernel, grid_check = polyapprox._abs_chebval, polyapprox._grid_check
 
-        def counted_chebval(x, c, tensor=True):
-            read[len(c) - 1] = read.get(len(c) - 1, 0) + len(x)
-            return chebval(x, c, tensor)
+        def counted_kernel(t, series, work):
+            read[len(series) - 1] = read.get(len(series) - 1, 0) + len(t)
+            return kernel(t, series, work)
 
-        def counted_check(poly, check, density, stop_at_fail=False):
+        def counted_check(poly, check, density, stop_at_fail=False, hint=None):
             n = sum(max(2, int(math.ceil((b - a) * density)) + 1)
                     for a, b in check.intervals)
             grid[poly.degree] = grid.get(poly.degree, 0) + n
-            return grid_check(poly, check, density, stop_at_fail)
+            return grid_check(poly, check, density, stop_at_fail, hint)
 
-        monkeypatch.setattr(polyapprox.C, "chebval", counted_chebval)
+        monkeypatch.setattr(polyapprox, "_abs_chebval", counted_kernel)
         monkeypatch.setattr(polyapprox, "_grid_check", counted_check)
         spec = ClipSpec(2.0, 0.1, 0.02)
         polyapprox._search_sign(
@@ -378,6 +507,24 @@ class TestSearchMatchesFullVerify:
         assert all(read[deg] < grid[deg] for deg in failed)
         assert sum(read[deg] for deg in failed) < 0.5 * sum(
             grid[deg] for deg in failed)
+        # scanned in grid order from each clause's first chunk, the
+        # failing candidates read 278,528 points; the hint saves most
+        assert sum(read[deg] for deg in failed) < 278_528 / 3
+
+    @pytest.mark.parametrize("spec", [
+        SignSpec(1.0, 0.2, 0.05), SignSpec(1.0, 0.1, 0.05),
+        SignSpec(1.0, 0.05, 0.1), SignSpec(2.0, 0.3, 0.1),
+        SignSpec(1.0, 0.2, 0.01), SignSpec(0.5, 0.1, 0.003),
+        SignSpec(3.0, 0.1, 0.01),  # the default clip's inner search
+        SignSpec(1.0, 0.1, 1e-6),  # critical mode, which takes no hint
+    ], ids=str)
+    def test_hint_keeps_the_chosen_candidate(self, spec):
+        got, got_density = polyapprox._search_sign(spec)
+        want, want_density = _search_sign_no_hint(spec)
+        assert got.odd_coeffs.tobytes() == want.odd_coeffs.tobytes()
+        assert got.degree == want.degree
+        assert np.float64(got_density).tobytes() == np.float64(
+            want_density).tobytes()
 
 
 class TestBudgetSplit:
