@@ -54,8 +54,8 @@ __all__ = [
 
 # entries `PolynomialMapCoeffs.as_matrix` may materialize
 _MAX_MATRIX_ENTRIES = 5_000_000
-# `expand_polynomial_map`: largest FFT grid, and the residual check on
-# random real points that enforces the degree promise
+# `expand_polynomial_map`: largest (d_max + 1)^d exponent box, and the
+# residual check on random real points that enforces the degree promise
 _MAX_EXPAND_GRID = 2_000_000
 _EXPAND_CHECK_POINTS = 100
 _EXPAND_TOL = 1e-10
@@ -507,30 +507,60 @@ class PolynomialMapCoeffs:
         return cls(int(payload["d"]), terms)
 
 
+def _fast_fft_length(minimum: int) -> int:
+    """Smallest n >= minimum with no prime factor above 5."""
+    n = max(1, minimum)
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
 def expand_polynomial_map(step_closure, d: int, d_max: int,
                           radius: float = 1.0) -> PolynomialMapCoeffs:
     """Recover exact coefficients of a polynomial closure of degree <= d_max.
 
-    Samples the closure on a roots-of-unity tensor grid of radius `radius`
-    and inverts by FFT; exact (no aliasing) when the degree promise holds.
-    A residual check on random real points enforces the promise.
+    The closure must have real coefficients; a residual check on random
+    real points enforces that and the degree promise.  Samples lie on a
+    roots-of-unity tensor grid of radius `radius` whose length n is the
+    smallest 2^a 3^b 5^c >= d_max + 1, built so that base[n - k] is
+    exactly conj(base[k]).  Real coefficients make the values at
+    conjugate points conjugate, so the closure is sampled only at
+    last-axis indices 0..n//2 and a real inverse FFT gives the
+    coefficients, exact (no aliasing) when the promise holds.  Exponents
+    past d_max on an axis are never kept.
     """
+    if d < 1:
+        raise ValueError(f"need a dimension d >= 1, got {d!r}")
+    if d_max < 0:
+        raise ValueError(f"need a degree d_max >= 0, got {d_max!r}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"need a finite radius > 0, got {radius!r}")
     npts = d_max + 1
     if npts**d > _MAX_EXPAND_GRID:
         raise MemoryError("expansion grid exceeds the configured cap")
-    base = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    grids = np.meshgrid(*([base] * d), indexing="ij")
+    n = _fast_fft_length(npts)
+    half = radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -radius
+    base = np.concatenate([half, np.conj(half[1:(n + 1) // 2][::-1])])
+    grids = np.meshgrid(*([base] * (d - 1) + [half]), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     vals = np.asarray(step_closure(pts))
-    if vals.shape != (npts**d, d):
+    if vals.shape != (len(pts), d):
         raise ValueError("closure must map (P, d) points to (P, d) values")
-    vals = vals.reshape((npts,) * d + (d,))
+    vals = vals.reshape((n,) * (d - 1) + (len(half), d))
+    # equals fftn(vals) / n^d, which is real for a real map; only the
+    # (d_max + 1)^d exponent box is kept
+    coeff_grid = np.fft.irfftn(np.conj(vals), s=(n,) * d, axes=range(d))
+    coeff_grid = coeff_grid[(slice(0, npts),) * d]
 
     terms: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     scale_cache = radius ** np.arange(npts, dtype=float)
-    coeff_grid = np.empty((npts,) * d + (d,), dtype=complex)
-    for i in range(d):
-        coeff_grid[..., i] = np.fft.fftn(vals[..., i]) / npts**d
     mags = np.abs(coeff_grid)
     floor = 1e-12 * max(1.0, float(mags.max()))
     # surviving grid points in C order; the descale product runs axis by
@@ -539,7 +569,7 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
     descale = np.ones(len(betas))
     for axis in range(d):
         descale *= scale_cache[betas[:, axis]]
-    real = coeff_grid[tuple(betas.T)].real / descale[:, None]
+    real = coeff_grid[tuple(betas.T)] / descale[:, None]
     real[np.abs(real) <= floor] = 0.0
     keep = real.any(axis=1)
     for beta, row in zip(betas[keep].tolist(), real[keep]):

@@ -10,14 +10,17 @@ Two building blocks are produced here:
 
 Construction is Chebyshev interpolation of an erf-mollified sign whose
 width is tied to the gap, followed by an incremental degree search until
-an explicit verifier certifies the requested bounds.  The grid verifier
-reads each clause's grid in fixed-size chunks and evaluates them with an
-in-place Clenshaw kernel, which gives numpy's chebval magnitudes bit for
-bit without allocating per step, and folds each zero coefficient of an
-odd series into the step after it.  A final certificate reads every
-chunk.  A search candidate, of which only pass or fail is kept, first
-reads a window around the point where the previous candidate failed and
-stops at its first failing chunk.  Polynomials are kept in the odd
+an explicit verifier certifies the requested bounds.  An OddPolynomial
+stores only odd-degree coefficients, so P(-x) = -P(x) exactly, and the
+sign and clip clauses are certified on the half-line x >= 0 alone: each
+negative-side clause is the mirror image of a positive one.  The grid
+verifier reads each clause's grid in fixed-size chunks and evaluates
+them with an in-place Clenshaw kernel, which gives numpy's chebval
+magnitudes bit for bit without allocating per step, and folds each zero
+coefficient of an odd series into the step after it.  A final
+certificate reads every chunk.  A search candidate, of which only pass
+or fail is kept, first reads a window around the point where the
+previous candidate failed and stops at its first failing chunk.  Polynomials are kept in the odd
 Chebyshev basis of their interval; near-minimax approximants of the
 degrees needed here have astronomically large monomial coefficients, so
 a monomial form only exists as a low-degree export convenience.
@@ -436,19 +439,31 @@ def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
                        certified, certified <= limit)
 
 
-def _critical_check(poly: OddPolynomial, check: PolyCheck) -> CheckResult:
+def _critical_check(poly: OddPolynomial, check: PolyCheck,
+                    roots_by_der: dict[bytes, np.ndarray] | None = None
+                    ) -> CheckResult:
     """Enumerate extrema of P - target; sound up to root-finding accuracy.
 
     A derivative that overflowed has no extrema to enumerate, so the
     clause fails with NaN sups, as a NaN on the grid does in grid mode.
+    The real roots of each derivative are kept in roots_by_der, keyed by
+    its bytes: targets that differ only in the constant term ("zero",
+    "plus_one", "minus_one") share one derivative and one eigensolve.
     """
     series = _target_series(poly, check.target)
     der = C.chebder(series)
     if not np.isfinite(der).all():
         return CheckResult(check.label, check.target, check.bound, math.nan,
                            math.nan, math.nan, False)
-    roots = C.chebroots(der) if len(der) > 1 else np.array([])
-    roots = roots[np.abs(roots.imag) < 1e-9].real if np.iscomplexobj(roots) else roots
+    if roots_by_der is None:
+        roots_by_der = {}
+    key = der.tobytes()
+    if key not in roots_by_der:
+        roots = C.chebroots(der) if len(der) > 1 else np.array([])
+        if np.iscomplexobj(roots):
+            roots = roots[np.abs(roots.imag) < 1e-9].real
+        roots_by_der[key] = roots
+    roots = roots_by_der[key]
     sup = 0.0
     for a, b in check.intervals:
         ta, tb = a / poly.halfwidth, b / poly.halfwidth
@@ -492,7 +507,8 @@ def _clause_results(
         return mode, (_grid_check(poly, c, grid_density, hint is not None, hint)
                       for c in checks)
     if mode == "critical":
-        return mode, (_critical_check(poly, c) for c in checks)
+        roots_by_der: dict[bytes, np.ndarray] = {}
+        return mode, (_critical_check(poly, c, roots_by_der) for c in checks)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -520,16 +536,22 @@ def verify_poly_spec(
 # sign design
 
 def sign_checks(spec: SignSpec) -> list[PolyCheck]:
+    """The sign clauses on the half-line: |P| <= 1 on [0, L] and
+    |P - 1| <= delta on [tau, L].
+
+    Sound for the whole of [-L, L] because an OddPolynomial stores only
+    odd-degree coefficients: P(-x) = -P(x) exactly, so |P| on [-L, 0] and
+    |P + 1| on [-L, -tau] are the mirror images of the two clauses.
+    """
     L, tau, delta = spec.halfwidth, spec.tau, spec.delta
     return [
-        PolyCheck((( -L, L),), "zero", 1.0, "bounded"),
+        PolyCheck(((0.0, L),), "zero", 1.0, "bounded"),
         PolyCheck(((tau, L),), "plus_one", delta, "gap_plus"),
-        PolyCheck(((-L, -tau),), "minus_one", delta, "gap_minus"),
     ]
 
 
 # the clauses of sign_checks that carry the accuracy delta
-_SIGN_ACC_LABELS = ("gap_plus", "gap_minus")
+_SIGN_ACC_LABELS = ("gap_plus",)
 
 
 def _mollified_sign(tau_t: float, delta: float):
@@ -589,12 +611,12 @@ def design_sign_poly(spec: SignSpec) -> OddPolynomial:
     """Smallest-degree certified gapped sign approximant found by search.
 
     Interpolates the mollified target at Chebyshev points, keeps the odd
-    part, and walks the degree up until the three clauses hold on the unit
-    interval; a candidate's clauses stop at the first that fails, and a
-    grid clause at its first failing chunk.  The returned polynomial
-    carries a full certificate of all three clauses, every chunk read, on
-    the requested interval.  Raises PolyDesignError past degree
-    `_MAX_DESIGN_DEGREE`.
+    part, and walks the degree up until the two half-line clauses of
+    sign_checks hold on the unit interval; a candidate's clauses stop at
+    the first that fails, and a grid clause at its first failing chunk.
+    The returned polynomial carries a full certificate of both clauses,
+    every chunk read, on the requested interval.  Raises PolyDesignError
+    past degree `_MAX_DESIGN_DEGREE`.
     """
     cand, density = _search_sign(spec)
     # rescale the certified base solution to the requested interval;
@@ -608,17 +630,23 @@ def design_sign_poly(spec: SignSpec) -> OddPolynomial:
 # clip design
 
 def clip_checks(spec: ClipSpec) -> list[PolyCheck]:
+    """The clip clauses on the half-line: |P - x| <= delta on [0, 1 - tau],
+    |P - 1| <= delta on [1 + tau, L] and |P| <= 1 on [0, 1].
+
+    P - x, P - 1 and P are the mirror images of P - x, P + 1 and P on the
+    negative side, since an OddPolynomial is odd by construction; see
+    sign_checks.
+    """
     L, tau, delta = spec.big_l, spec.tau, spec.delta
     return [
-        PolyCheck(((-(1.0 - tau), 1.0 - tau),), "identity", delta, "inner"),
+        PolyCheck(((0.0, 1.0 - tau),), "identity", delta, "inner"),
         PolyCheck(((1.0 + tau, L),), "plus_one", delta, "outer_plus"),
-        PolyCheck(((-L, -(1.0 + tau)),), "minus_one", delta, "outer_minus"),
-        PolyCheck(((-1.0, 1.0),), "zero", 1.0, "bounded"),
+        PolyCheck(((0.0, 1.0),), "zero", 1.0, "bounded"),
     ]
 
 
 # the clauses of clip_checks that carry the accuracy delta
-_CLIP_ACC_LABELS = ("inner", "outer_plus", "outer_minus")
+_CLIP_ACC_LABELS = ("inner", "outer_plus")
 
 
 def design_clip_poly(spec: ClipSpec) -> OddPolynomial:
@@ -630,7 +658,7 @@ def design_clip_poly(spec: ClipSpec) -> OddPolynomial:
     is odd, has degree <= deg S + 1, tracks the identity inside, sign
     outside, and stays within [-1, 1] on the unit interval.  S is the
     sign search's unit candidate rescaled to R_c, with no certificate of
-    its own; P_c's certificate runs all four clip clauses.
+    its own; P_c's certificate runs all three half-line clip clauses.
     """
     unit, _ = _search_sign(
         SignSpec(spec.widened, spec.tau, spec.delta / spec.big_l))
@@ -654,7 +682,7 @@ def design_clip_poly(spec: ClipSpec) -> OddPolynomial:
 def achieved_delta(poly: OddPolynomial | None) -> float | None:
     """Certified sup over a surrogate's accuracy clauses, if it carries any.
 
-    A sign design certifies the gap clauses and a clip design the inner
+    A sign design certifies the gap clause and a clip design the inner
     and outer ones; the "bounded" clause caps |P| and is no accuracy.
     """
     if poly is None or poly.certificate is None:

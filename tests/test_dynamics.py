@@ -286,14 +286,18 @@ class TestExpansion:
 def _loop_terms(step_closure, d, d_max, radius=1.0):
     """Reference extraction: one grid point at a time, in np.ndindex order."""
     npts = d_max + 1
-    base = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    grids = np.meshgrid(*([base] * d), indexing="ij")
+    n = dynamics._fast_fft_length(npts)
+    half = radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -radius
+    base = np.concatenate([half, np.conj(half[1:(n + 1) // 2][::-1])])
+    grids = np.meshgrid(*([base] * (d - 1) + [half]), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(step_closure(pts)).reshape((npts,) * d + (d,))
+    vals = np.asarray(step_closure(pts)).reshape(
+        (n,) * (d - 1) + (len(half), d))
     scale_cache = radius ** np.arange(npts, dtype=float)
-    coeff_grid = np.empty((npts,) * d + (d,), dtype=complex)
-    for i in range(d):
-        coeff_grid[..., i] = np.fft.fftn(vals[..., i]) / npts**d
+    coeff_grid = np.fft.irfftn(np.conj(vals), s=(n,) * d, axes=range(d))
+    coeff_grid = coeff_grid[(slice(0, npts),) * d]
     mags = np.abs(coeff_grid)
     floor = 1e-12 * max(1.0, float(mags.max()))
     terms = {}
@@ -310,6 +314,52 @@ def _loop_terms(step_closure, d, d_max, radius=1.0):
             continue
         terms.setdefault(int(sum(beta)), {})[tuple(int(b) for b in beta)] = real
     return terms
+
+
+def _full_grid_terms(step_closure, d, d_max, radius=1.0):
+    """Independent reference: complex fftn over the whole (d_max + 1)^d
+    circle grid at the prime-or-any length d_max + 1, with no real
+    symmetry assumed; the same floor, descale and keep rules."""
+    npts = d_max + 1
+    base = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
+    grids = np.meshgrid(*([base] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = np.asarray(step_closure(pts)).reshape((npts,) * d + (d,))
+    coeff_grid = np.empty((npts,) * d + (d,), dtype=complex)
+    for i in range(d):
+        coeff_grid[..., i] = np.fft.fftn(vals[..., i]) / npts**d
+    mags = np.abs(coeff_grid)
+    floor = 1e-12 * max(1.0, float(mags.max()))
+    scale_cache = radius ** np.arange(npts, dtype=float)
+    betas = np.argwhere(~(mags.max(axis=-1) <= floor))
+    descale = np.ones(len(betas))
+    for axis in range(d):
+        descale *= scale_cache[betas[:, axis]]
+    real = coeff_grid[tuple(betas.T)].real / descale[:, None]
+    real[np.abs(real) <= floor] = 0.0
+    keep = real.any(axis=1)
+    terms = {}
+    for beta, row in zip(betas[keep].tolist(), real[keep]):
+        terms.setdefault(sum(beta), {})[tuple(beta)] = row
+    return PolynomialMapCoeffs(d, terms)
+
+
+def _surrogate_design_fold(seed=0):
+    """The shape of the benchmark's fold: a seed-drawn quadratic gradient
+    and odd surrogates of degree 7 and 15, degree bound 420, radius 0.05."""
+    rng = np.random.default_rng(seed)
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    a = rng.uniform(0.1, 0.4, size=6)
+    grads = PolynomialGradient(
+        [x * x * a[0] + y * a[1] + MultiPoly.constant(2, a[2] / 4)],
+        [x * y * a[3] + y * a[4] + MultiPoly.constant(2, a[5] / 4)],
+        m=1, n=1, eps_u_grad=0.0, l_u_delta=1.0)
+    sched = StepSchedule.uniform(1, eps_ball=0.2, eta_delta=0.02,
+                                 eta_u=0.05, alpha=1.0)
+    decay_s, decay_c = 0.3 ** np.arange(4), 0.6 ** np.arange(8)
+    q_s = OddPolynomial(0.6 * decay_s * rng.uniform(0.5, 1.0, 4), 1.0)
+    q_c = OddPolynomial(0.6 * decay_c * rng.uniform(0.5, 1.0, 8), 2.0)
+    return folded_step_closure(0, sched, grads, q_s, q_c)
 
 
 def _cubic_field(pts):
@@ -368,6 +418,114 @@ class TestExtractionMatchesLoop:
     def test_overflow_still_raises(self):
         with pytest.raises(DegreeOverflowError):
             expand_polynomial_map(_cubic_field, 3, 2)
+
+
+_EXPANSION_CASES = [
+    (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 5, 1.0),
+    (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 7, 0.3),
+    (_zero_coordinate, 2, 4, 1.0),
+    (_zero_coordinate, 2, 6, 0.05),
+    (_near_floor, 2, 3, 1.0),
+    (_cubic_field, 3, 3, 1.0),
+    (_cubic_field, 3, 5, 0.5),
+    (_surrogate_design_fold(), 2, 420, 0.05),
+]
+_EXPANSION_IDS = ["d1", "d1-radius", "d2-zero-coord", "d2-zero-coord-radius",
+                  "d2-near-floor", "d3", "d3-radius", "surrogate-design-fold"]
+
+
+class TestHalfGridMatchesFullGrid:
+    @pytest.mark.parametrize("closure,d,d_max,radius", _EXPANSION_CASES,
+                             ids=_EXPANSION_IDS)
+    def test_same_terms_and_evaluation(self, closure, d, d_max, radius):
+        got = expand_polynomial_map(closure, d, d_max, radius=radius)
+        want = _full_grid_terms(closure, d, d_max, radius)
+        assert list(got.terms) == list(want.terms)
+        for ell, by_beta in want.terms.items():
+            assert list(got.terms[ell]) == list(by_beta)
+        pts = np.random.default_rng(5).uniform(-0.5, 0.5, (200, d)) * radius
+        ref = want.evaluate(pts)
+        err = np.linalg.norm(got.evaluate(pts) - ref, axis=1)
+        assert (err <= 1e-12 * (1.0 + np.linalg.norm(ref, axis=1))).all()
+
+    def test_overflow_inside_the_padded_length_raises(self):
+        # d_max = 6 samples at n = 8, which resolves x^7 exactly; a term
+        # past d_max on an axis is still never kept
+        assert dynamics._fast_fft_length(7) == 8
+
+        def septic(pts):
+            p = np.asarray(pts)
+            return np.stack([0.5 * p[..., 0] + 0.1 * p[..., 0] ** 7,
+                             0.5 * p[..., 1]], axis=-1)
+
+        with pytest.raises(DegreeOverflowError):
+            expand_polynomial_map(septic, 2, 6, radius=0.8)
+        assert expand_polynomial_map(septic, 2, 7, radius=0.8).degree == 7
+
+    def test_fast_fft_length(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        assert dynamics._fast_fft_length(421) == 432
+        for m in range(1, 1200):
+            n = dynamics._fast_fft_length(m)
+            assert n >= m and smooth(n)
+            assert not any(smooth(k) for k in range(m, n))
+
+    @pytest.mark.parametrize("closure", [
+        lambda p: np.asarray(p) * (0.5 + 0.1j),
+        lambda p: 0.5 * np.asarray(p) + 0.01j,
+        lambda p: np.asarray(p) + 0.2j * np.asarray(p) ** 2,
+    ], ids=["linear", "constant", "quadratic"])
+    def test_complex_coefficients_raise(self, closure):
+        with pytest.raises(DegreeOverflowError):
+            expand_polynomial_map(closure, 2, 3, radius=0.5)
+
+
+class TestExpansionInputs:
+    @staticmethod
+    def _recording():
+        calls = []
+
+        def closure(pts):
+            calls.append(len(pts))
+            return 0.5 * np.asarray(pts)
+
+        return closure, calls
+
+    @pytest.mark.parametrize("kwargs", [
+        {"d": 2, "d_max": 3, "radius": 0.0},
+        {"d": 2, "d_max": 3, "radius": -0.5},
+        {"d": 2, "d_max": 3, "radius": math.nan},
+        {"d": 2, "d_max": 3, "radius": math.inf},
+        {"d": 2, "d_max": 3, "radius": -math.inf},
+        {"d": 0, "d_max": 3, "radius": 1.0},
+        {"d": 2, "d_max": -1, "radius": 1.0},
+    ], ids=["radius-zero", "radius-negative", "radius-nan", "radius-inf",
+            "radius-minus-inf", "d-zero", "d-max-negative"])
+    def test_refused_before_sampling(self, kwargs):
+        closure, calls = self._recording()
+        with pytest.raises(ValueError):
+            expand_polynomial_map(closure, **kwargs)
+        assert calls == []
+
+    def test_cap_checked_before_sampling(self):
+        closure, calls = self._recording()
+        with pytest.raises(MemoryError):
+            expand_polynomial_map(closure, 3, 200)
+        assert calls == []
+
+    def test_degree_zero_and_one(self):
+        const = expand_polynomial_map(
+            lambda p: np.full(np.shape(p), 0.25), 2, 0)
+        assert list(const.terms) == [0]
+        np.testing.assert_allclose(const.constant_vector(), [0.25, 0.25])
+        lin = expand_polynomial_map(lambda p: 0.5 * np.asarray(p), 2, 1)
+        np.testing.assert_allclose(lin.as_matrix(1).toarray(),
+                                   0.5 * np.eye(2), atol=1e-15)
 
 
 class TestMapCoeffs:

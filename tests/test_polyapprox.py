@@ -1,7 +1,9 @@
 """Sign/clip surrogate design and the grid-plus-Lipschitz verifier."""
 
+import hashlib
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ class TestClipDesign:
         poly = design_clip_poly(spec)
         assert poly.certificate is not None and poly.certificate.passed
         labels = {c.label: c for c in poly.certificate.checks}
-        assert set(labels) == {"inner", "outer_plus", "outer_minus", "bounded"}
+        assert set(labels) == {"inner", "outer_plus", "bounded"}
 
     def test_midpoint_tracks_identity(self):
         poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
@@ -186,6 +188,97 @@ class TestClipDesign:
         poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
         xs = np.linspace(-1.0, 1.0, 4001)
         assert np.max(np.abs(poly(xs))) <= 1.0
+
+
+# the negative-side target that mirrors each half-line clause of an odd P
+_MIRRORED = {"zero": lambda x: 0.0 * x, "plus_one": lambda x: -1.0 + 0.0 * x,
+             "identity": lambda x: x}
+
+
+@lru_cache(maxsize=None)
+def _designed(spec):
+    if isinstance(spec, ClipSpec):
+        return design_clip_poly(spec), clip_checks(spec)
+    return design_sign_poly(spec), sign_checks(spec)
+
+
+_random_odd = st.builds(
+    lambda coeffs, hw, tau_s, tau_c: (
+        OddPolynomial(np.array(coeffs), hw),
+        sign_checks(SignSpec(hw, tau_s * hw, 0.1))
+        + clip_checks(ClipSpec(hw, tau_c, 0.1))),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+    st.floats(1.5, 4.0), st.floats(0.05, 0.9), st.floats(0.01, 0.4))
+_designed_odd = st.sampled_from([
+    SignSpec(1.0, 0.2, 0.05), ClipSpec(2.0, 0.1, 0.02),
+    SignSpec(1.0, 0.7, 1e-3), SignSpec(2.0, 0.3, 0.1),
+    ClipSpec(6.0, 0.8, 0.1),
+    SignSpec(1.0, 0.1, 1e-6)]).map(_designed)  # critical mode
+
+
+class TestHalfLineClauses:
+    @given(st.one_of(_designed_odd, _random_odd))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_sup_bounds_the_mirrored_side(self, case):
+        poly, checks = case
+        cert = verify_poly_spec(poly, checks)
+        for check, res in zip(checks, cert.checks):
+            ((a, b),) = check.intervals
+            assert 0.0 <= a < b
+            xs = np.linspace(-b, -a, 20001)
+            mirrored = np.abs(poly(xs) - _MIRRORED[check.target](xs)).max()
+            assert mirrored <= res.certified_sup + 1e-12 * max(
+                1.0, res.certified_sup)
+
+    def test_clauses_cover_the_half_line(self):
+        # with their mirror images these cover every clause of the spec
+        sign = sign_checks(SignSpec(2.0, 0.3, 0.05))
+        assert [(c.label, c.target, c.intervals, c.bound) for c in sign] == [
+            ("bounded", "zero", ((0.0, 2.0),), 1.0),
+            ("gap_plus", "plus_one", ((0.3, 2.0),), 0.05)]
+        clip = clip_checks(ClipSpec(3.0, 0.25, 0.02))
+        assert [(c.label, c.target, c.intervals, c.bound) for c in clip] == [
+            ("inner", "identity", ((0.0, 0.75),), 0.02),
+            ("outer_plus", "plus_one", ((1.25, 3.0),), 0.02),
+            ("bounded", "zero", ((0.0, 1.0),), 1.0)]
+
+    @pytest.mark.parametrize("spec, degree, digest", [
+        (SignSpec(1.0, 0.2, 0.05), 27,
+         "70f838221b5f1f467ef8117f2c8e63c6d2d53aceb05fe8d7525edcee4339c0c4"),
+        (ClipSpec(2.0, 0.1, 0.02), 277,
+         "9de78e1854e349e33565f4dcb79741bff145313e78465046ea4e4d2f8491308b"),
+        (SignSpec(1.0, 0.7, 1e-3), 19,
+         "8eb4f67412cff30aa0918ca27ca7252bb26ec29e7fff8e19e1cdb6379a7d7ab2"),
+    ], ids=["design-polys-sign", "design-polys-clip", "sign-0.7-1e-3"])
+    def test_designs_keep_their_bytes(self, spec, degree, digest):
+        # sha256 of odd_coeffs as designed when the clauses still covered
+        # both halves of the interval
+        poly, _ = _designed(spec)
+        assert poly.degree == degree
+        assert hashlib.sha256(poly.odd_coeffs.tobytes()).hexdigest() == digest
+
+    def test_critical_clauses_share_one_eigensolve(self, monkeypatch):
+        sign, _ = _designed(SignSpec(1.0, 0.2, 0.05))
+        clip, _ = _designed(ClipSpec(2.0, 0.1, 0.02))
+        cases = [(sign, sign_checks(SignSpec(1.0, 0.2, 0.05)), 1),
+                 (clip, clip_checks(ClipSpec(2.0, 0.1, 0.02)), 2)]
+        unshared = [[polyapprox._critical_check(poly, c) for c in checks]
+                    for poly, checks, _ in cases]
+        calls = []
+        chebroots = C.chebroots
+
+        def counted(series):
+            calls.append(len(series))
+            return chebroots(series)
+
+        monkeypatch.setattr(C, "chebroots", counted)
+        for (poly, checks, solves), want in zip(cases, unshared):
+            calls.clear()
+            cert = verify_poly_spec(poly, checks, mode="critical")
+            # "bounded" and "gap_plus" (or "outer_plus") share P', and the
+            # clip's "inner" has P' - 1 of its own
+            assert len(calls) == solves
+            assert cert.checks == tuple(want)
 
 
 def _search_sign_no_hint(spec, grid_density=1e4, mode="auto"):
@@ -473,12 +566,12 @@ class TestSearchMatchesFullVerify:
         for degree, label, passed in calls:
             by_degree.setdefault(degree, []).append((label, passed))
         *failed, last = by_degree.values()
-        assert [passed for _, passed in last] == [True, True, True]
+        assert [passed for _, passed in last] == [True, True]
         for results in failed:
             *head, (_, stopped) = results
             assert all(passed for _, passed in head) and not stopped
         assert any(len(results) == 1 for results in failed)
-        assert len(calls) < 3 * len(by_degree)
+        assert len(calls) < 2 * len(by_degree)
 
     def test_failing_candidates_read_part_of_their_grids(self, monkeypatch):
         # kernel input sizes of the clip's inner search, per candidate,
