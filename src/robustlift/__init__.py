@@ -48,6 +48,7 @@ from .carleman import (  # noqa: F401
 from .horizon import (  # noqa: F401
     HorizonSystem,
     assemble_horizon,
+    lift_window,
     row_access,
     condition_bounds,
     sparsity_bounds,

@@ -473,10 +473,8 @@ def compare_reduction(instance, delta_s: float, delta_c: float,
     rho = min(major.rho, 0.999999)
     tail = carleman.tail_constant_and_cutoff(coeffs, n_levels, vbar, t_window,
                                              rho, 1e-12)
-    step = carleman.build_lifted_step(coeffs, n_levels)
-    y0 = carleman.lift_state(dev[0], n_levels)
-    system = horizon.assemble_horizon([step] * t_window, y0, major.rho,
-                                      dims=(coeffs.d, n_levels))
+    _, system = horizon.lift_window(coeffs, n_levels, dev[0], t_window,
+                                    major.rho)
     sol = solver.solve_linear_system(system)
     reference = np.concatenate([carleman.lift_state(v, n_levels) for v in dev])
     stacked_err = float(np.linalg.norm(reference - sol.stacked))

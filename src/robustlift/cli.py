@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -126,6 +127,17 @@ def _config_hash(path: str | None, resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _write(outdir: str, name: str, payload) -> str:
+    """Write one artifact: text as given, anything else as indented JSON."""
+    path = os.path.join(outdir, name)
+    with open(path, "w") as fh:
+        if isinstance(payload, str):
+            fh.write(payload)
+        else:
+            json.dump(payload, fh, indent=2)
+    return path
+
+
 def write_manifest(outdir: str, command: str, cfg: dict,
                    config_path: str | None, seed: int,
                    artifacts: list[str]) -> str:
@@ -143,10 +155,7 @@ def write_manifest(outdir: str, command: str, cfg: dict,
         },
         "artifacts": artifacts,
     }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    return path
+    return _write(outdir, "manifest.json", manifest)
 
 
 def _instance_from_config(cfg: dict):
@@ -214,80 +223,64 @@ def cmd_design_polys(cfg: dict, outdir: str) -> list[str]:
         "clip": {"degree": p_c.degree,
                  "certificate": p_c.certificate.to_dict()},
     }
-    cert_path = os.path.join(outdir, "poly_certificates.json")
-    with open(cert_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    return [sign_path, clip_path, cert_path]
+    return [sign_path, clip_path, _write(outdir, "poly_certificates.json", report)]
 
 
 def cmd_expand_step(cfg: dict, outdir: str) -> list[str]:
     _, coeffs = _step_expansion(cfg)
-    path = os.path.join(outdir, "step_coefficients.json")
-    with open(path, "w") as fh:
-        fh.write(coeffs.to_json())
-    return [path]
+    return [_write(outdir, "step_coefficients.json", coeffs.to_json())]
 
 
-def _lifted_pieces(cfg: dict):
-    from . import carleman
+def _lifted_window(cfg: dict):
+    """The majorant's rho, the lifted step and the stacked window."""
+    from . import carleman, horizon
 
     instance, coeffs = _step_expansion(cfg)
     n_levels = cfg["instance"]["n_levels"]
-    step = carleman.build_lifted_step(coeffs, n_levels)
-    y0 = carleman.lift_state(instance.deviations([instance.v0])[0], n_levels)
     rho = carleman.majorant_and_contractivity(coeffs, n_levels).rho
-    return instance, step, y0, rho
+    step, system = horizon.lift_window(
+        coeffs, n_levels, instance.deviations([instance.v0])[0],
+        instance.sched.t_window, rho)
+    return rho, step, system
 
 
 def cmd_build_lift(cfg: dict, outdir: str) -> list[str]:
     from scipy.io import mmwrite
 
-    _, step, y0, rho = _lifted_pieces(cfg)
+    rho, step, system = _lifted_window(cfg)
     b_path = os.path.join(outdir, "step_matrix.mtx")
     mmwrite(b_path, step.b_matrix)
     c_path = os.path.join(outdir, "step_constant.npy")
     np.save(c_path, step.c_vector)
     layout = {"d": step.d, "n_levels": step.n_levels, "dim": step.dim,
-              "rho_majorant": rho, "y0_norm": float(np.linalg.norm(y0))}
-    l_path = os.path.join(outdir, "lift_layout.json")
-    with open(l_path, "w") as fh:
-        json.dump(layout, fh, indent=2)
-    return [b_path, c_path, l_path]
+              "rho_majorant": rho,
+              "y0_norm": float(np.linalg.norm(system.rhs[:step.dim]))}
+    return [b_path, c_path, _write(outdir, "lift_layout.json", layout)]
 
 
 def cmd_assemble(cfg: dict, outdir: str) -> list[str]:
     from . import horizon
 
-    instance, step, y0, rho = _lifted_pieces(cfg)
-    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho,
-                                      dims=(step.d, step.n_levels))
+    _, _, system = _lifted_window(cfg)
     m_path = os.path.join(outdir, "horizon_matrix.mtx")
     horizon.save_matrix_market(system, m_path)
     r_path = os.path.join(outdir, "horizon_rhs.npy")
     np.save(r_path, system.rhs_normalized)
     layout = {"t_window": system.t_window, "block_dim": system.block_dim,
               "dim": system.dim, "rho": system.rho}
-    l_path = os.path.join(outdir, "horizon_layout.json")
-    with open(l_path, "w") as fh:
-        json.dump(layout, fh, indent=2)
-    return [m_path, r_path, l_path]
+    return [m_path, r_path, _write(outdir, "horizon_layout.json", layout)]
 
 
 def cmd_solve(cfg: dict, outdir: str) -> list[str]:
-    from . import horizon, solver
+    from . import solver
 
-    instance, step, y0, rho = _lifted_pieces(cfg)
-    system = horizon.assemble_horizon([step] * instance.sched.t_window, y0, rho,
-                                      dims=(step.d, step.n_levels))
+    _, _, system = _lifted_window(cfg)
     sol = solver.solve_linear_system(system)
     s_path = os.path.join(outdir, "solution.npy")
     np.save(s_path, sol.stacked)
     report = {"residual": sol.residual, "norm": sol.norm,
               "dim": system.dim, "t_window": system.t_window}
-    j_path = os.path.join(outdir, "solve.json")
-    with open(j_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-    return [s_path, j_path]
+    return [s_path, _write(outdir, "solve.json", report)]
 
 
 def cmd_certify(cfg: dict, outdir: str) -> list[str]:
@@ -298,9 +291,7 @@ def cmd_certify(cfg: dict, outdir: str) -> list[str]:
     cert = run_pipeline_certificate(
         instance, section["eps_out"], mode=section["mode"],
         n_max=section["n_max"], seed=cfg["run"]["seed"])
-    path = os.path.join(outdir, "certificate.json")
-    with open(path, "w") as fh:
-        fh.write(cert.to_json())
+    path = _write(outdir, "certificate.json", cert.to_json())
     status = "pass" if cert.passed else "hypotheses-flagged"
     print(f"certificate: {status} (n_levels={cert.n_levels})")
     return [path]
@@ -310,9 +301,7 @@ def cmd_estimate_resources(cfg: dict, outdir: str) -> list[str]:
     from .solver import qlsa_estimate
 
     estimate = qlsa_estimate(_resource_model(cfg))
-    path = os.path.join(outdir, "resources.json")
-    with open(path, "w") as fh:
-        json.dump(estimate.to_dict(), fh, indent=2)
+    path = _write(outdir, "resources.json", estimate.to_dict())
     print(json.dumps(estimate.to_dict(), indent=2))
     return [path]
 
@@ -336,19 +325,14 @@ def cmd_bench_train(cfg: dict, outdir: str) -> list[str]:
         result = train_reduced(task, mode, dataset, seed=seed)
         csv_path = os.path.join(outdir, f"metrics_{mode}.csv")
         write_metrics_csv(csv_path, result.rows)
-        meta_path = os.path.join(outdir, f"metadata_{mode}.json")
-        with open(meta_path, "w") as fh:
-            json.dump(result.metadata, fh, indent=2)
-        artifacts += [csv_path, meta_path]
+        artifacts += [csv_path,
+                      _write(outdir, f"metadata_{mode}.json", result.metadata)]
         last = result.rows[-1]
         summary[mode] = {"clean_acc": last.clean_acc,
                          "robust_acc": last.robust_acc,
                          "diverged": result.diverged}
         print(f"{mode}: clean {last.clean_acc:.3f} robust {last.robust_acc:.3f}")
-    s_path = os.path.join(outdir, "bench_summary.json")
-    with open(s_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    return artifacts + [s_path]
+    return artifacts + [_write(outdir, "bench_summary.json", summary)]
 
 
 def cmd_bench_compare(cfg: dict, outdir: str) -> list[str]:
@@ -362,13 +346,7 @@ def cmd_bench_compare(cfg: dict, outdir: str) -> list[str]:
     p = cfg["polys"]
     report = compare_reduction(instance, p["delta_s"],
                                p["delta_c"], cfg["instance"]["n_levels"])
-    path = os.path.join(outdir, "reduction_report.json")
-    with open(path, "w") as fh:
-        json.dump({k: getattr(report, k) for k in (
-            "t_window", "n_levels", "rho", "gamma_n", "step_error_max",
-            "step_error_bound", "stacked_truncation_error",
-            "stacked_truncation_bound", "step_ok", "truncation_ok",
-            "solve_residual")}, fh, indent=2)
+    path = _write(outdir, "reduction_report.json", dataclasses.asdict(report))
     print(f"step ok: {report.step_ok}  truncation ok: {report.truncation_ok}")
     return [path]
 

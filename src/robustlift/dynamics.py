@@ -380,15 +380,23 @@ def _content_column(beta: tuple[int, ...]) -> int:
 
 
 class PolynomialMapCoeffs:
-    """Map v -> sum_l Q_l v^(x l), stored per exponent with one d-vector each."""
+    """Map v -> sum_l Q_l v^(x l), stored per exponent with one d-vector each.
+
+    A value: the vectors are read-only copies, so the norm series is
+    computed once, and `scaled` makes a new map.
+    """
 
     def __init__(self, d: int, terms: dict[int, dict[tuple[int, ...], np.ndarray]]):
         self.d = d
         self.terms = {
-            ell: {beta: np.asarray(c, dtype=float) for beta, c in by_beta.items()}
+            ell: {beta: np.array(c, dtype=float) for beta, c in by_beta.items()}
             for ell, by_beta in terms.items()
             if by_beta
         }
+        for by_beta in self.terms.values():
+            for c in by_beta.values():
+                c.flags.writeable = False
+        self._norms = None
 
     @property
     def degree(self) -> int:
@@ -445,10 +453,20 @@ class PolynomialMapCoeffs:
         return math.sqrt(max(top, 0.0))
 
     def norm_bounds(self) -> np.ndarray:
-        out = np.zeros(self.degree + 1)
-        for ell in self.terms:
-            out[ell] = self.operator_norm(ell)
-        return out
+        """The norm series ||Q_l|| for l = 0..degree, read-only."""
+        if self._norms is None:
+            out = np.zeros(self.degree + 1)
+            for ell in self.terms:
+                out[ell] = self.operator_norm(ell)
+            out.flags.writeable = False
+            self._norms = out
+        return self._norms
+
+    def scaled(self, factors) -> "PolynomialMapCoeffs":
+        """The map whose degree-l terms are this map's times factors[l]."""
+        return PolynomialMapCoeffs(self.d, {
+            ell: {beta: c * factors[ell] for beta, c in by_beta.items()}
+            for ell, by_beta in self.terms.items()})
 
     def row_sparsity(self, ell: int) -> int:
         by_beta = self.terms.get(ell)

@@ -4,6 +4,7 @@ The unknown is Y = (y(0), ..., y(T)).  Row block 0 pins y(0); row block
 t >= 1 encodes y(t) - B(t-1) y(t-1) = c(t-1).  The matrix M therefore has
 identity diagonal blocks and -B(t) on the subdiagonal, and the right
 hand side stacks the initial lift above the constant columns.
+`lift_window` builds the system from a step map: the lift, then the stack.
 
 The system is held as its steps: `HorizonSystem.matvec` applies M block
 by block, and the solvers substitute through the same blocks.  The
@@ -26,11 +27,12 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmwrite
 
-from .carleman import LiftedStep, delta_dim
+from .carleman import LiftedStep, build_lifted_step, delta_dim, lift_state
 
 __all__ = [
     "HorizonSystem",
     "assemble_horizon",
+    "lift_window",
     "row_access",
     "SparsityReport",
     "sparsity_bounds",
@@ -126,13 +128,13 @@ class HorizonSystem:
 
 def assemble_horizon(steps, y0: np.ndarray, rho: float,
                      dims: tuple[int, int] | None = None) -> HorizonSystem:
-    """Check the steps and stack the right hand side, normalized and not.
+    """Check the step sequence and stack the right hand side, normalized and not.
 
     No stacked matrix is built here; see `HorizonSystem.matrix`.  An
     empty step list is the T = 0 window (M is the identity); it needs
     explicit dims = (d, n_levels) since no step carries them.
     """
-    per_step = tuple(steps) if isinstance(steps, (list, tuple)) else (steps,)
+    per_step = tuple(steps)
     if per_step:
         d, n_levels = per_step[0].d, per_step[0].n_levels
     elif dims is not None:
@@ -157,6 +159,16 @@ def assemble_horizon(steps, y0: np.ndarray, rho: float,
         d=d,
         n_levels=n_levels,
     )
+
+
+def lift_window(coeffs, n_levels: int, v0: np.ndarray, t_window: int,
+                rho: float) -> tuple[LiftedStep, HorizonSystem]:
+    """Lift the step map and the start v0, and stack T references to the
+    one lifted step (T = 0 is the identity system on the lifted start)."""
+    step = build_lifted_step(coeffs, n_levels)
+    system = assemble_horizon([step] * t_window, lift_state(v0, n_levels),
+                              rho, dims=(coeffs.d, n_levels))
+    return step, system
 
 
 def row_access(system: HorizonSystem, t: int, r: int) -> list[tuple[int, float]]:

@@ -301,16 +301,10 @@ def random_coeff_map(rng: np.random.Generator, d: int, degree: int,
         block = {beta: rng.standard_normal(d) for beta in _exponents(d, ell)}
         terms[ell] = block
     coeffs = PolynomialMapCoeffs(d, terms)
-    norms = coeffs.norm_bounds()
     targets = [const_norm, lin_norm] + [high_norm / math.factorial(ell)
                                         for ell in range(2, degree + 1)]
-    for ell in range(degree + 1):
-        if norms[ell] == 0.0:
-            continue
-        factor = targets[ell] / norms[ell]
-        for beta in coeffs.terms.get(ell, {}):
-            coeffs.terms[ell][beta] *= factor
-    return coeffs
+    return coeffs.scaled([target / norm if norm != 0.0 else 1.0
+                          for target, norm in zip(targets, coeffs.norm_bounds())])
 
 
 @dataclass(frozen=True)
@@ -350,11 +344,7 @@ def random_contractive(rng: np.random.Generator, d_max: int = 3,
         rho = majorant_and_contractivity(coeffs, n_levels).rho
         if rho <= rho_target:
             break
-        for ell, block in coeffs.terms.items():
-            if ell == 0:
-                continue
-            for beta in block:
-                block[beta] *= 0.7
+        coeffs = coeffs.scaled([1.0] + [0.7] * coeffs.degree)
     else:
         raise RuntimeError("rescaling failed to certify contraction")
     v0 = rng.standard_normal(d)

@@ -459,7 +459,9 @@ def _critical_check(poly: OddPolynomial, check: PolyCheck,
         roots_by_der = {}
     key = der.tobytes()
     if key not in roots_by_der:
-        roots = C.chebroots(der) if len(der) > 1 else np.array([])
+        # for the roots only: a negligible top term throws chebroots off
+        trimmed = C.chebtrim(der, np.finfo(float).eps * np.abs(der).max(initial=0.0))
+        roots = C.chebroots(trimmed) if len(trimmed) > 1 else np.array([])
         if np.iscomplexobj(roots):
             roots = roots[np.abs(roots.imag) < 1e-9].real
         roots_by_der[key] = roots
@@ -615,15 +617,19 @@ def design_sign_poly(spec: SignSpec) -> OddPolynomial:
     sign_checks hold on the unit interval; a candidate's clauses stop at
     the first that fails, and a grid clause at its first failing chunk.
     The returned polynomial carries a full certificate of both clauses,
-    every chunk read, on the requested interval.  Raises PolyDesignError
-    past degree `_MAX_DESIGN_DEGREE`.
+    every chunk read, on the requested interval, at the search's point
+    count per unit of x / halfwidth or more.  Raises PolyDesignError past
+    degree `_MAX_DESIGN_DEGREE` or when that certificate fails.
     """
     cand, density = _search_sign(spec)
     # rescale the certified base solution to the requested interval;
     # coefficients are shared bit-for-bit with the unit design
     final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
-    cert_final = verify_poly_spec(final, sign_checks(spec), density)
-    return replace(final, certificate=cert_final)
+    cert = verify_poly_spec(final, sign_checks(spec),
+                            max(density, density / spec.halfwidth))
+    if not cert.passed:
+        raise PolyDesignError(f"sign certification failed for {spec}: {cert}")
+    return replace(final, certificate=cert)
 
 
 # ----------------------------------------------------------------------

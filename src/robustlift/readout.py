@@ -8,8 +8,10 @@ conditional block, and budgets are planned backwards from the requested
 terminal accuracy.
 
 `run_pipeline_certificate` drives the whole chain on one instance and
-reports every hypothesis and inequality with measured values.  Failed
-hypotheses are flagged in the result, never raised.
+reports every hypothesis and inequality with measured values: its probe
+and its final phase each lift and stack their window with
+`horizon.lift_window`, then solve it.  Failed hypotheses are flagged in
+the result, never raised.
 """
 
 from __future__ import annotations
@@ -366,14 +368,13 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
     probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
     probe_major = carleman.majorant_and_contractivity(probe_coeffs, _N_PROBE)
-    step_probe = carleman.build_lifted_step(probe_coeffs, _N_PROBE)
-    y0_probe = carleman.lift_state(dev_probe[0], _N_PROBE)
-    run_probe = carleman.run_truncated_recurrence(step_probe, y0_probe, t_window)
-    stacked_probe = run_probe.stacked
-    beta0_probe = float(np.linalg.norm(y0_probe))
+    _, probe_system = horizon.lift_window(probe_coeffs, _N_PROBE, dev_probe[0],
+                                          t_window, probe_major.rho)
+    stacked_probe = solver.solve_forward(probe_system).stacked
+    beta0_probe = float(np.linalg.norm(probe_system.rhs[:probe_system.block_dim]))
     unit_probe = stacked_probe / np.linalg.norm(stacked_probe)
-    block_dim_probe = carleman.delta_dim(grads.d, _N_PROBE)
-    probe_term = extract_terminal(unit_probe, m, n, block_dim_probe, t_window)
+    probe_term = extract_terminal(unit_probe, m, n, probe_system.block_dim,
+                                  t_window)
     p_star = _P_STAR_FRACTION * probe_term.p_term
 
     # ---- plan
@@ -415,48 +416,36 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
         coeffs = probe_coeffs
     else:
         coeffs = instance.build_expansion(p_s, p_c)
-    lam = instance.lam
-    chosen = None
-    for n_levels in range(2, n_max + 1):
-        major = carleman.majorant_and_contractivity(coeffs, n_levels)
-        if not major.h1_pass:
-            chosen = (n_levels, major, None)
-            continue
-        tail = carleman.tail_constant_and_cutoff(
-            coeffs, n_levels, vbar, t_window, major.rho, plan.gamma_target,
-            lam=lam)
-        chosen = (n_levels, major, tail)
-        if tail.gamma_n <= plan.gamma_target:
-            break
-    n_levels, major, tail = chosen
-    if tail is None:
-        tail = carleman.tail_constant_and_cutoff(
-            coeffs, n_levels, vbar, t_window, min(major.rho, 0.999999),
-            plan.gamma_target, lam=lam)
 
-    # ---- lift, stack, solve
-    step = carleman.build_lifted_step(coeffs, n_levels)
-    # tight targets can escalate the lift far past what this host can stack;
-    # drop levels until the assembled matrix fits, the tail hypothesis then
-    # reports whatever accuracy the smaller lift actually delivers
-    while (n_levels > 2 and
-           (t_window + 1) * (step.b_matrix.nnz + step.dim) > _MAX_STACKED_NNZ):
-        n_levels -= 1
+    def bounds(n_levels):
         major = carleman.majorant_and_contractivity(coeffs, n_levels)
-        tail = carleman.tail_constant_and_cutoff(
+        return major, carleman.tail_constant_and_cutoff(
             coeffs, n_levels, vbar, t_window, min(major.rho, 0.999999),
-            plan.gamma_target, lam=lam)
-        step = carleman.build_lifted_step(coeffs, n_levels)
-    y0 = carleman.lift_state(dev_model[0], n_levels)
-    beta0 = float(np.linalg.norm(y0))
-    system = horizon.assemble_horizon([step] * t_window, y0, major.rho,
-                                      dims=(grads.d, n_levels))
+            plan.gamma_target, lam=instance.lam)
+
+    for n_levels in range(2, n_max + 1):
+        major, tail = bounds(n_levels)
+        if major.h1_pass and tail.gamma_n <= plan.gamma_target:
+            break
+
+    # ---- lift, stack, solve; tight targets can escalate the lift far past
+    # what this host can stack, so drop levels until the assembled matrix
+    # fits, the tail hypothesis then reports what the smaller lift delivers
+    while True:
+        step, system = horizon.lift_window(coeffs, n_levels, dev_model[0],
+                                           t_window, major.rho)
+        if (n_levels <= 2 or (t_window + 1) * (step.b_matrix.nnz + step.dim)
+                <= _MAX_STACKED_NNZ):
+            break
+        n_levels -= 1
+        major, tail = bounds(n_levels)
+    beta0 = float(np.linalg.norm(system.rhs[:system.block_dim]))
     solve = solver.solve_linear_system(system)
     cond = horizon.condition_bounds(major.rho, t_window, system)
     sparsity = horizon.sparsity_bounds([coeffs.row_sparsities()], n_levels)
 
-    block_dim = system.block_dim
-    term = extract_terminal(solve.normalized_state, m, n, block_dim, t_window)
+    term = extract_terminal(solve.normalized_state, m, n, system.block_dim,
+                            t_window)
 
     # ---- measured error chain
     l_lift = carleman.lift_lipschitz(n_levels, vbar)

@@ -584,6 +584,28 @@ class TestMapCoeffs:
         coeffs = PolynomialMapCoeffs(3, terms)
         assert coeffs.row_sparsity(1) == 2
 
+    def test_coefficients_are_read_only_copies(self):
+        vec = np.array([1.0, 0.0, 0.0])
+        coeffs = PolynomialMapCoeffs(3, {1: {(1, 0, 0): vec}})
+        vec *= 2
+        beta = (1, 0, 0)
+        assert coeffs.terms[1][beta][0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.terms[1][beta] *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.norm_bounds()[1] = 0.0
+
+    def test_scaled_multiplies_each_degree(self):
+        coeffs = self.make()
+        factors = [0.5 + ell for ell in range(coeffs.degree + 1)]
+        out = coeffs.scaled(factors)
+        assert out is not coeffs and out.d == coeffs.d
+        assert list(out.terms) == list(coeffs.terms)
+        for ell, by_beta in coeffs.terms.items():
+            assert list(out.terms[ell]) == list(by_beta)
+            for beta, c in by_beta.items():
+                assert out.terms[ell][beta].tobytes() == (c * factors[ell]).tobytes()
+
     def test_symmetric_placement_keeps_evaluation(self):
         # v1*v2 coefficient split over (1,2) and (2,1) placements
         x = MultiPoly.variable(2, 0)

@@ -19,6 +19,7 @@ from robustlift.horizon import (
     assemble_horizon,
     condition_bounds,
     hockey_stick_total,
+    lift_window,
     row_access,
     save_matrix_market,
     sparsity_bounds,
@@ -141,6 +142,29 @@ class TestAssembly:
             with pytest.raises(MemoryError, match=str(nnz)):
                 getattr(system, name)
             assert name not in system.__dict__
+
+    def test_bare_step_rejected(self):
+        _, step, _ = toy_system(t_window=1)
+        with pytest.raises(TypeError):
+            assemble_horizon(step, lift_state([0.1, 0.1], 3), 0.5)
+
+    @pytest.mark.parametrize("t_window", [0, 1, 7])
+    def test_lift_window_is_lift_then_stack(self, t_window):
+        coeffs = quadratic_coeffs(2)
+        v0 = np.array([0.1, -0.05])
+        step, system = lift_window(coeffs, 3, v0, t_window, 0.4)
+        want_step = build_lifted_step(coeffs, 3)
+        want = assemble_horizon([want_step] * t_window, lift_state(v0, 3), 0.4,
+                                dims=(2, 3))
+        # T references to the one step, not T copies
+        assert [id(s) for s in system.steps] == [id(step)] * t_window
+        for attr in ("data", "indices", "indptr"):
+            assert (getattr(step.b_matrix, attr).tobytes()
+                    == getattr(want_step.b_matrix, attr).tobytes())
+        assert step.c_vector.tobytes() == want_step.c_vector.tobytes()
+        assert system.rhs.tobytes() == want.rhs.tobytes()
+        assert system.rhs_normalized.tobytes() == want.rhs_normalized.tobytes()
+        assert (system.rho, system.d, system.n_levels) == (0.4, 2, 3)
 
     def test_dimension_mismatch_rejected(self):
         coeffs = quadratic_coeffs(2)

@@ -1,5 +1,6 @@
 """Ready-made instances: the certified run, its folded twin, random draws."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -220,6 +221,20 @@ class TestRandomFamilies:
         rng = np.random.default_rng(5)
         sys = random_contractive(rng, degree=1)
         assert sys.coeffs.degree == 1
+
+    def test_corpus_keeps_its_coefficient_bytes(self):
+        # criterion 01's 110 draws; the digest was taken when both random
+        # builders still scaled the coefficient vectors in place
+        rng = np.random.default_rng(20260814)
+        digest = hashlib.sha256()
+        for _ in range(110):
+            terms = random_contractive(rng, rho_target=0.8).coeffs.terms
+            for ell in sorted(terms):
+                for beta, vec in terms[ell].items():
+                    digest.update(repr((ell, beta)).encode())
+                    digest.update(vec.tobytes())
+        assert digest.hexdigest() == (
+            "ca8a3df1b0f4f7a8051b824cfdeefcb10b5be64ccdfa81a1a9a5464f676261ed")
 
     def test_draws_are_seeded(self):
         a = random_contractive(np.random.default_rng(11))

@@ -87,3 +87,32 @@ def test_instance_fields_stay_removed(cls):
         getattr(importlib.import_module("robustlift.instances"), cls)).parameters
     assert set(params).isdisjoint(_REMOVED_FIELDS)
     assert not [name for name in params if name.startswith("_")]
+
+
+# the window chain: lifting a step and stacking a window happen in one
+# function, so a change to how windows are built has one place to go
+_WINDOW_CHAIN = ("build_lifted_step", "assemble_horizon")
+
+
+def _calls(node, where=()):
+    """(enclosing function path, called name) for each call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = where + (child.name,)
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield where, (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+        yield from _calls(child, inner)
+
+
+def test_window_chain_is_composed_once():
+    callers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"robustlift.{name}")
+        tree = ast.parse(inspect.getsource(module))
+        callers |= {(name, ".".join(where)) for where, called in _calls(tree)
+                    if called in _WINDOW_CHAIN}
+    assert callers == {("horizon", "lift_window")}

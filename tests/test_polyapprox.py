@@ -1,6 +1,7 @@
 """Sign/clip surrogate design and the grid-plus-Lipschitz verifier."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -106,6 +107,16 @@ class TestVerifier:
         assert math.isnan(res.observed_sup) and math.isnan(res.certified_sup)
         assert not res.passed
 
+    def test_critical_sup_survives_a_negligible_leading_term(self):
+        # P = T5 + 6.4e-196 T7 in x / 2: chebroots of the untrimmed P' missed
+        # the extremum at x = 2 cos(pi / 5) and certified 1.99999 < 2
+        poly = OddPolynomial(np.array([0, 0, 1, 6.4116795983293455e-196]), 2.0)
+        check = PolyCheck(((1.0, 2.0),), "plus_one", 0.1)
+        res = verify_poly_spec(poly, [check], mode="critical").checks[0]
+        dense = float(np.abs(poly(np.linspace(1.0, 2.0, 200_001)) - 1.0).max())
+        assert res.certified_sup >= dense
+        assert res.observed_sup == pytest.approx(2.0, abs=1e-12)
+
     @pytest.mark.parametrize("mode", ["grid", "critical", "auto"])
     def test_empty_check_list_rejected(self, mode):
         with pytest.raises(ValueError, match="at least one clause"):
@@ -153,6 +164,26 @@ class TestSignDesign:
         poly = design_sign_poly(SignSpec(1.0, 0.3, 0.1))
         xs = np.linspace(0.0, 1.0, 400)
         np.testing.assert_allclose(poly(-xs), -poly(xs), atol=1e-13)
+
+    @pytest.mark.parametrize("halfwidth", [0.25, 0.5, 0.8, 1.0, 2.0])
+    def test_design_passes_its_own_certificate(self, halfwidth):
+        # one unit candidate (tau / halfwidth = 0.2) at every halfwidth; on
+        # [-0.5, 0.5] it once certified "bounded" at 1.000147
+        spec = SignSpec(halfwidth, 0.2 * halfwidth, 0.003)
+        poly = design_sign_poly(spec)
+        assert poly.halfwidth == halfwidth and poly.certificate.passed
+        assert [c.label for c in poly.certificate.checks] == [
+            c.label for c in sign_checks(spec)]
+
+    def test_failed_final_certificate_raises(self, monkeypatch):
+        verify = polyapprox.verify_poly_spec
+
+        def failing(*args):
+            return replace(verify(*args), passed=False)
+
+        monkeypatch.setattr(polyapprox, "verify_poly_spec", failing)
+        with pytest.raises(polyapprox.PolyDesignError, match="sign"):
+            design_sign_poly(SignSpec(1.0, 0.2, 0.05))
 
 
 class TestClipDesign:
@@ -257,6 +288,20 @@ class TestHalfLineClauses:
         assert poly.degree == degree
         assert hashlib.sha256(poly.odd_coeffs.tobytes()).hexdigest() == digest
 
+    def test_critical_certificates_keep_their_bytes(self, pinned_child):
+        # sha256 of json.dumps(certificate.to_dict()) with one BLAS thread,
+        # as designed before the derivative was trimmed for chebroots
+        want = {
+            "1.0,0.1,1e-06":
+                "b480eae24b90d128c80a7984f7094e7789d8cfbb4703c0c02292d87e8c0a1545",
+            "1.0,0.2,5e-06":
+                "a16d14bf45bc4502e7c95bccb16cd7e6bccb94bd03c0c405975c1ecd041afb64",
+            "2.0,0.3,1e-06":
+                "9a868c59cb089eb94eb957afc8e2e961a860516074b60a00cd795ae9a3a98d07",
+        }
+        got = json.loads(pinned_child(_CRITICAL_SCRIPT, json.dumps(list(want))))
+        assert got == want
+
     def test_critical_clauses_share_one_eigensolve(self, monkeypatch):
         sign, _ = _designed(SignSpec(1.0, 0.2, 0.05))
         clip, _ = _designed(ClipSpec(2.0, 0.1, 0.02))
@@ -281,6 +326,18 @@ class TestHalfLineClauses:
             assert cert.checks == tuple(want)
 
 
+_CRITICAL_SCRIPT = """
+import hashlib, json, sys
+from robustlift.polyapprox import SignSpec, design_sign_poly
+out = {}
+for key in json.loads(sys.argv[1]):
+    cert = design_sign_poly(SignSpec(*map(float, key.split(",")))).certificate
+    assert cert.mode == "critical"
+    out[key] = hashlib.sha256(json.dumps(cert.to_dict()).encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
 def _search_sign_no_hint(spec, grid_density=1e4, mode="auto"):
     """Reference degree walk: every candidate gets a full certificate, read
     in grid order, and no hint passes from one candidate to the next."""
@@ -302,7 +359,8 @@ def _full_verify_sign(spec, grid_density=1e4, mode="auto"):
     """Reference sign design over the fully verified degree walk."""
     cand, density = _search_sign_no_hint(spec, grid_density, mode)
     final = OddPolynomial(cand.odd_coeffs, spec.halfwidth)
-    cert = verify_poly_spec(final, sign_checks(spec), density, mode)
+    cert = verify_poly_spec(final, sign_checks(spec),
+                            max(density, density / spec.halfwidth), mode)
     return replace(final, certificate=cert)
 
 

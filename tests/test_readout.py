@@ -10,6 +10,7 @@ import pytest
 
 import robustlift.readout
 from robustlift.carleman import build_lifted_step, lift_state
+from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
     CertifyInstance,
@@ -284,6 +285,20 @@ class TestPipelineCertificate:
         assert len(designed) == 2 and len(calls) == 2
         assert calls[0][0] is designed[0][0] and calls[0][1] is designed[0][1]
         assert calls[1][0] is designed[1][0] and calls[1][1] is designed[1][1]
+
+    def test_one_operator_norm_per_degree_of_the_map(self, monkeypatch):
+        # the probe, the cutoff loop and the final phase share one step map,
+        # which computes its norm series once: one call per nonempty degree
+        calls = []
+        norm = PolynomialMapCoeffs.operator_norm
+
+        def counted(coeffs, ell):
+            calls.append((id(coeffs), ell))
+            return norm(coeffs, ell)
+
+        monkeypatch.setattr(PolynomialMapCoeffs, "operator_norm", counted)
+        run_pipeline_certificate(folded_demo_instance(6), 0.3, mode="state")
+        assert len(calls) == len(set(calls)) == 16
 
     def test_one_stacked_csr_per_certificate(self, monkeypatch):
         # the dense SVD and the H3 spot check share the unnormalized CSR
