@@ -168,7 +168,7 @@ class _Level:
         return out
 
 
-def _dense_level(mats, live, prev, off, per_block, single) -> _Level:
+def _dense_level(mats, dense, live, prev, off, per_block, single) -> _Level:
     """Accumulate a level block by block into a slab.
 
     Every factor is finite here (see `_next_level`), so the products of
@@ -176,17 +176,21 @@ def _dense_level(mats, live, prev, off, per_block, single) -> _Level:
     it was.  The slab starts at -0.0 because -0.0 + x == x keeps a lone
     product's bits, zeros included.  A block summed from two or more
     terms stores its nonzeros, as a CSR sum does; a single-term block
-    stores every product `kron` makes.
+    stores every product `kron` makes.  `dense` holds each Q_l as an
+    array and its stored mask, formed on a lift's first dense level that
+    needs them and kept for the rest of that lift.
     """
     d = mats[0].shape[0]
     prev_slab, prev_stored = prev.as_slab()
     slab = np.full((d * prev.n_rows, prev.width), -0.0)
     stored = np.zeros(slab.shape, dtype=bool)
     for ell in live:
-        q = mats[ell]
-        q_dense = q.toarray()
-        q_struct = sparse.csr_matrix((np.ones(q.nnz, dtype=bool), q.indices,
-                                      q.indptr), shape=q.shape).toarray()
+        if ell not in dense:
+            q = mats[ell]
+            q_struct = np.zeros(q.shape, dtype=bool)
+            q_struct[np.repeat(np.arange(d), np.diff(q.indptr)), q.indices] = True
+            dense[ell] = q.toarray(), q_struct
+        q_dense, q_struct = dense[ell]
         for sp in range(len(off) - 1 - ell):
             if not per_block[sp]:
                 continue
@@ -247,7 +251,7 @@ def _merged_level(mats, live, prev, off, single) -> _Level:
     return _Level(d * prev.n_rows, width, keys=keys[kept], vals=sums[kept])
 
 
-def _next_level(mats, prev: _Level, off: np.ndarray) -> _Level:
+def _next_level(mats, dense: dict, prev: _Level, off: np.ndarray) -> _Level:
     """K_{j,s} = sum_l kron(Q_l, K_{j-1,s-l}) for s = 0..N from level j-1."""
     n_levels = len(off) - 2
     per_block = prev.block_counts(off)
@@ -267,7 +271,7 @@ def _next_level(mats, prev: _Level, off: np.ndarray) -> _Level:
     # (level one is Q_l itself) before it meets a nonempty block there
     values = prev.vals if prev.slab is None else prev.slab
     if n_cells <= n_products and np.isfinite(values).all():
-        return _dense_level(mats, live, prev, off, per_block, single)
+        return _dense_level(mats, dense, live, prev, off, per_block, single)
     return _merged_level(mats, live, prev, off, single)
 
 
@@ -298,9 +302,9 @@ def build_lifted_step(coeffs, n_levels: int) -> LiftedStep:
     # level 0 is K_{0,0} = [1], so level one is K_{1,s} = Q_s * 1.0 = Q_s
     level = _Level(1, int(off[-1]), keys=np.zeros(1, dtype=np.int64),
                    vals=np.ones(1))
-    levels = []
+    levels, dense = [], {}
     for _ in range(n_levels):
-        level = _next_level(mats, level, off)
+        level = _next_level(mats, dense, level, off)
         levels.append(level)
     counts = np.concatenate([lv.row_counts() for lv in levels])
     nnz = int(counts.sum())

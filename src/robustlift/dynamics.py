@@ -382,8 +382,9 @@ def _content_column(beta: tuple[int, ...]) -> int:
 class PolynomialMapCoeffs:
     """Map v -> sum_l Q_l v^(x l), stored per exponent with one d-vector each.
 
-    A value: the vectors are read-only copies, so the norm series is
-    computed once, and `scaled` makes a new map.
+    A value: the vectors are read-only copies, so the norm series, the
+    row sparsities and each Q_l matrix are computed once, and `scaled`
+    makes a new map.
     """
 
     def __init__(self, d: int, terms: dict[int, dict[tuple[int, ...], np.ndarray]]):
@@ -397,6 +398,8 @@ class PolynomialMapCoeffs:
             for c in by_beta.values():
                 c.flags.writeable = False
         self._norms = None
+        self._row_sparsities = None
+        self._matrices = {}
 
     @property
     def degree(self) -> int:
@@ -480,16 +483,32 @@ class PolynomialMapCoeffs:
                     counts[i] += mult
         return max(counts)
 
-    def row_sparsities(self) -> list[int]:
-        return [self.row_sparsity(ell) for ell in range(self.degree + 1)]
+    def row_sparsities(self) -> tuple[int, ...]:
+        """Row sparsity of each Q_l for l = 0..degree."""
+        if self._row_sparsities is None:
+            self._row_sparsities = tuple(self.row_sparsity(ell)
+                                         for ell in range(self.degree + 1))
+        return self._row_sparsities
 
     def as_matrix(self, ell: int) -> sparse.csr_matrix:
-        """Q_ell as an explicit d x d^ell sparse matrix (small ell only)."""
+        """Q_ell as an explicit d x d^ell sparse matrix (small ell only).
+
+        Built once per map; its arrays are read-only.  The entry cap is
+        checked on every call.
+        """
         by_beta = self.terms.get(ell, {})
         budget = sum(_multiplicity(beta) * int(np.count_nonzero(coeff))
                      for beta, coeff in by_beta.items())
         if budget > _MAX_MATRIX_ENTRIES:
             raise MemoryError(f"materializing Q_{ell} exceeds the entry cap")
+        if ell not in self._matrices:
+            mat = self._place(ell, by_beta)
+            for arr in (mat.data, mat.indices, mat.indptr):
+                arr.flags.writeable = False
+            self._matrices[ell] = mat
+        return self._matrices[ell]
+
+    def _place(self, ell: int, by_beta) -> sparse.csr_matrix:
         shape = (self.d, self.d**ell)
         if not by_beta:
             return sparse.csr_matrix(shape)
@@ -500,8 +519,11 @@ class PolynomialMapCoeffs:
         which = slot[_content_index(self.d, ell)]
         cols = np.flatnonzero(which >= 0)
         placed = values[which[cols]].T
+        # row-major nonzeros with ascending columns: already CSR order
         rows, k = np.nonzero(placed)
-        return sparse.csr_matrix((placed[rows, k], (rows, cols[k])), shape=shape)
+        indptr = np.zeros(self.d + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.d), out=indptr[1:])
+        return sparse.csr_matrix((placed[rows, k], cols[k], indptr), shape=shape)
 
     def to_json(self) -> str:
         payload = {

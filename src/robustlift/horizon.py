@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmwrite
 
 from .carleman import LiftedStep, build_lifted_step, delta_dim, lift_state
 
@@ -60,7 +60,7 @@ class HorizonSystem:
     def t_window(self) -> int:
         return len(self.steps)
 
-    @property
+    @cached_property
     def block_dim(self) -> int:
         return delta_dim(self.d, self.n_levels)
 
@@ -182,14 +182,18 @@ def row_access(system: HorizonSystem, t: int, r: int) -> list[tuple[int, float]]
     if not (0 <= t <= system.t_window and 0 <= r < dim):
         raise IndexError("row index outside the stacked system")
     inv = system.inv_scale
-    entries = [(t * dim + r, 1.0 * inv)]
+    entries = []
     if t >= 1:
         b = system.steps[t - 1].b_matrix
         start, stop = b.indptr[r], b.indptr[r + 1]
+        # Python ints: int32 indices + (t-1)*dim would wrap past 2^31
         base = (t - 1) * dim
-        for idx in range(start, stop):
-            entries.append((base + int(b.indices[idx]), (-b.data[idx]) * inv))
-    entries.sort(key=lambda e: e[0])
+        entries = [(base + c, (-v) * inv) for c, v in
+                   zip(b.indices[start:stop].tolist(), b.data[start:stop].tolist())]
+        # a caller-built step may hold unsorted indices
+        entries.sort(key=itemgetter(0))
+    # every column of block t-1 lies left of the diagonal
+    entries.append((t * dim + r, 1.0 * inv))
     return entries
 
 
@@ -280,4 +284,5 @@ def condition_bounds(rho: float, t_window: int,
 
 def save_matrix_market(system: HorizonSystem, path: str) -> None:
     """Write the normalized matrix M / (1 + rho) in Matrix Market format."""
+    from scipy.io import mmwrite  # scipy.io costs import time no other path needs
     mmwrite(path, system.matrix_normalized)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from scipy import special
 
 __all__ = [
     "OddPolynomial",
@@ -374,6 +373,20 @@ def _abs_chebval(t: np.ndarray, series: np.ndarray, work: np.ndarray) -> np.ndar
     return np.abs(spare, out=spare)
 
 
+def _aligned_rows(rows: int, width: int) -> np.ndarray:
+    """An empty rows x width float array whose rows start on 64-byte lines.
+
+    A buffer from malloc may sit 16 bytes past a line, and then every
+    other vector load of the kernel splits a cache line; which case a
+    process gets depends on its heap history.  Aligning the rows makes
+    the kernel's speed independent of it.
+    """
+    stride = -(-width // 8) * 8  # whole lines per row
+    buf = np.empty(rows * stride + 8)
+    skip = (-buf.ctypes.data % 64) // 8
+    return buf[skip:skip + rows * stride].reshape(rows, stride)[:, :width]
+
+
 @dataclass
 class _FailHint:
     """Where the last failing search candidate failed: the x of the worst
@@ -424,7 +437,7 @@ def _grid_check(poly: OddPolynomial, check: PolyCheck, density: float,
     if stop_at_fail and hint is not None and hint.x is not None:
         window = _hint_window(grids, hint.x)
     # the kernel's four rows, and a fifth for the chunk in t = x/halfwidth
-    work = np.empty((5, min(_GRID_CHUNK, max(n for _, _, n in grids))))
+    work = _aligned_rows(5, min(_GRID_CHUNK, max(n for _, _, n in grids)))
     sup = 0.0
     for xs in _grid_chunks(grids, window):
         t = np.divide(xs, poly.halfwidth, out=work[4, :len(xs)])
@@ -562,6 +575,8 @@ def _mollified_sign(tau_t: float, delta: float):
     amp * erf(x / w) with amp = 1 - 0.45 delta and amp * erf(tau_t / w) = 1 - delta/2,
     leaving 0.45 delta of headroom below 1 and delta/2 of slack at the gap edge.
     """
+    from scipy import special  # only the designer needs it; keeps the import light
+
     amp = 1.0 - 0.45 * delta
     ratio = (1.0 - 0.5 * delta) / amp
     w = tau_t / float(special.erfinv(ratio))

@@ -324,18 +324,22 @@ def _row_access_spot_check(system, rng, samples: int = 200) -> bool:
     """Sampled rows of `row_access` against the rows of M times 1 / (1 + rho):
     the same IEEE products `row_access` takes, so the check is bit-exact."""
     mat = system.matrix
-    inv = system.inv_scale
     dim = system.block_dim
     total = (system.t_window + 1) * dim
     rows = rng.choice(total, size=min(samples, total), replace=False)
-    for gi in rows:
-        t, r = divmod(int(gi), dim)
-        got = horizon.row_access(system, t, r)
-        cols = mat.indices[mat.indptr[gi]: mat.indptr[gi + 1]]
-        vals = mat.data[mat.indptr[gi]: mat.indptr[gi + 1]]
-        ref = sorted(zip((int(c) for c in cols), (float(v) * inv for v in vals)))
-        if [(c, v) for c, v in got] != ref:
+    # the sampled rows' entries, gathered in one slice of the CSR arrays
+    starts = mat.indptr[rows].astype(np.int64)
+    counts = mat.indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    take = np.arange(ends[-1]) + np.repeat(starts - (ends - counts), counts)
+    cols = mat.indices[take].tolist()
+    vals = (mat.data[take] * system.inv_scale).tolist()
+    lo = 0
+    for gi, hi in zip(rows.tolist(), ends.tolist()):
+        got = horizon.row_access(system, *divmod(gi, dim))
+        if got != sorted(zip(cols[lo:hi], vals[lo:hi])):
             return False
+        lo = hi
     return True
 
 

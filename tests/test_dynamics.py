@@ -595,6 +595,17 @@ class TestMapCoeffs:
         with pytest.raises(ValueError, match="read-only"):
             coeffs.norm_bounds()[1] = 0.0
 
+    def test_matrices_and_sparsities_are_built_once(self):
+        coeffs = self.make()
+        assert coeffs.row_sparsities() is coeffs.row_sparsities()
+        for ell in range(coeffs.degree + 2):
+            mat = coeffs.as_matrix(ell)
+            assert coeffs.as_matrix(ell) is mat
+            for arr in (mat.data, mat.indices, mat.indptr):
+                if arr.size:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[0]
+
     def test_scaled_multiplies_each_degree(self):
         coeffs = self.make()
         factors = [0.5 + ell for ell in range(coeffs.degree + 1)]

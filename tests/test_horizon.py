@@ -10,6 +10,7 @@ from scipy.io import mmread
 
 import robustlift.horizon as horizon_module
 from robustlift.carleman import (
+    LiftedStep,
     build_lifted_step,
     lift_state,
     majorant_and_contractivity,
@@ -203,6 +204,46 @@ class TestRowAccess:
             row_access(system, system.t_window + 1, 0)
         with pytest.raises(IndexError):
             row_access(system, 0, system.block_dim)
+
+    @staticmethod
+    def loop_reference(system, t, r):
+        """The per-entry loop `row_access` replaced, kept as its reference."""
+        dim = system.block_dim
+        inv = system.inv_scale
+        entries = [(t * dim + r, 1.0 * inv)]
+        if t >= 1:
+            b = system.steps[t - 1].b_matrix
+            base = (t - 1) * dim
+            for idx in range(b.indptr[r], b.indptr[r + 1]):
+                entries.append((base + int(b.indices[idx]), (-b.data[idx]) * inv))
+        entries.sort(key=lambda e: e[0])
+        return [(c, float(v).hex()) for c, v in entries]
+
+    def assert_rows_match_loop(self, system):
+        for t in range(system.t_window + 1):
+            for r in range(system.block_dim):
+                got = row_access(system, t, r)
+                assert all(type(c) is int for c, _ in got)
+                assert ([(c, float(v).hex()) for c, v in got]
+                        == self.loop_reference(system, t, r))
+
+    @pytest.mark.parametrize("d, n_levels", [(2, 1), (2, 3), (3, 3), (2, 5)])
+    def test_rows_match_entry_loop(self, d, n_levels):
+        _, _, system = toy_system(d=d, n_levels=n_levels, t_window=4)
+        self.assert_rows_match_loop(system)
+
+    def test_unsorted_step_rows_match_entry_loop(self):
+        _, step, _ = toy_system(d=3, n_levels=3, t_window=1)
+        b = step.b_matrix
+        # reverse each row's stored order: the same matrix, unsorted indices
+        order = np.concatenate([np.arange(lo, hi)[::-1] for lo, hi
+                                in zip(b.indptr[:-1], b.indptr[1:])])
+        unsorted = sparse.csr_matrix((b.data[order], b.indices[order], b.indptr),
+                                     shape=b.shape)
+        assert not unsorted.has_sorted_indices
+        steps = [LiftedStep(unsorted, step.c_vector, step.d, step.n_levels)] * 3
+        system = assemble_horizon(steps, lift_state(np.full(3, 0.1), 3), 0.3)
+        self.assert_rows_match_loop(system)
 
     def test_entries_sorted_by_column(self):
         _, _, system = toy_system()

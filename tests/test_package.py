@@ -116,3 +116,11 @@ def test_window_chain_is_composed_once():
         callers |= {(name, ".".join(where)) for where, called in _calls(tree)
                     if called in _WINDOW_CHAIN}
     assert callers == {("horizon", "lift_window")}
+
+
+def test_import_leaves_optional_scipy_modules_unloaded(pinned_child):
+    # scipy.special serves only the sign designer and scipy.io only the
+    # Matrix Market export; each is imported where it is used
+    out = pinned_child("import sys, robustlift; "
+                       "print(sorted({'scipy.special', 'scipy.io'} & set(sys.modules)))")
+    assert out.strip() == "[]"

@@ -569,6 +569,13 @@ class TestAbsChebval:
             want = np.abs(C.chebval(t, series)).tobytes()
             assert _kernel_bytes(t, series) == want
 
+    @pytest.mark.parametrize("width", [1, 7, 9, 1001, polyapprox._GRID_CHUNK])
+    def test_work_rows_start_on_cache_lines(self, width):
+        work = polyapprox._aligned_rows(5, width)
+        assert work.shape == (5, width)
+        assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous
+                   for row in work)
+
     def test_designed_series(self):
         poly = design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
         t = np.linspace(-1.0, 1.0, 40001)

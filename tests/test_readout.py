@@ -300,6 +300,21 @@ class TestPipelineCertificate:
         run_pipeline_certificate(folded_demo_instance(6), 0.3, mode="state")
         assert len(calls) == len(set(calls)) == 16
 
+    def test_one_q_matrix_per_degree_of_the_map(self, monkeypatch):
+        # the probe, the cutoff loop and the final phase lift one step map;
+        # their lifts ask it for a Q_l 11 times in all, and each of its
+        # six Q_l is placed once
+        calls = []
+        place = PolynomialMapCoeffs._place
+
+        def counted(coeffs, ell, by_beta):
+            calls.append((id(coeffs), ell))
+            return place(coeffs, ell, by_beta)
+
+        monkeypatch.setattr(PolynomialMapCoeffs, "_place", counted)
+        run_pipeline_certificate(folded_demo_instance(6), 0.3, mode="state")
+        assert len(calls) == len(set(calls)) == 6
+
     def test_one_stacked_csr_per_certificate(self, monkeypatch):
         # the dense SVD and the H3 spot check share the unnormalized CSR
         calls = []
