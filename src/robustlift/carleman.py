@@ -77,12 +77,24 @@ def lift_state(v: np.ndarray, n_levels: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedStep:
-    """One step of the truncated lifted recurrence y+ = B y + c."""
+    """One step of the truncated lifted recurrence y+ = B y + c.
+
+    B is held in canonical CSR form, sorted indices and no duplicate
+    entries: a caller's matrix that is not is replaced by a canonical
+    copy, so the step's rows agree with the stacked matrix, which sums
+    duplicates.
+    """
 
     b_matrix: sparse.csr_matrix
     c_vector: np.ndarray
     d: int
     n_levels: int
+
+    def __post_init__(self) -> None:
+        if not self.b_matrix.has_canonical_format:
+            b = self.b_matrix.copy()
+            b.sum_duplicates()
+            object.__setattr__(self, "b_matrix", b)
 
     @property
     def dim(self) -> int:
@@ -320,7 +332,7 @@ def build_lifted_step(coeffs, n_levels: int) -> LiftedStep:
         lv.write(indices[lo:hi], data[lo:hi])
         row += lv.n_rows
     b_matrix = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    b_matrix.has_sorted_indices = True
+    b_matrix.has_canonical_format = True  # each row's columns are ascending and distinct
     c_vector = np.concatenate([lv.constant() for lv in levels])
     return LiftedStep(b_matrix, c_vector, d, n_levels)
 

@@ -22,6 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy import sparse
@@ -59,6 +60,8 @@ _MAX_MATRIX_ENTRIES = 5_000_000
 _MAX_EXPAND_GRID = 2_000_000
 _EXPAND_CHECK_POINTS = 100
 _EXPAND_TOL = 1e-10
+# most points per closure call of `expand_polynomial_map`
+_EXPAND_BLOCK = 16_384
 
 
 class DegreeOverflowError(RuntimeError):
@@ -382,21 +385,22 @@ def _content_column(beta: tuple[int, ...]) -> int:
 class PolynomialMapCoeffs:
     """Map v -> sum_l Q_l v^(x l), stored per exponent with one d-vector each.
 
-    A value: the vectors are read-only copies, so the norm series, the
-    row sparsities and each Q_l matrix are computed once, and `scaled`
-    makes a new map.
+    A value: `terms` and its per-degree maps are read-only views, and the
+    vectors read-only copies, so the norm series, the row sparsities and
+    each Q_l matrix are computed once, and `scaled` makes a new map.
     """
 
     def __init__(self, d: int, terms: dict[int, dict[tuple[int, ...], np.ndarray]]):
         self.d = d
-        self.terms = {
-            ell: {beta: np.array(c, dtype=float) for beta, c in by_beta.items()}
-            for ell, by_beta in terms.items()
-            if by_beta
-        }
-        for by_beta in self.terms.values():
-            for c in by_beta.values():
+        frozen = {}
+        for ell, by_beta in terms.items():
+            if not by_beta:
+                continue
+            copies = {beta: np.array(c, dtype=float) for beta, c in by_beta.items()}
+            for c in copies.values():
                 c.flags.writeable = False
+            frozen[ell] = MappingProxyType(copies)
+        self.terms = MappingProxyType(frozen)
         self._norms = None
         self._row_sparsities = None
         self._matrices = {}
@@ -573,6 +577,12 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
     last-axis indices 0..n//2 and a real inverse FFT gives the
     coefficients, exact (no aliasing) when the promise holds.  Exponents
     past d_max on an axis are never kept.
+
+    The closure must be pointwise: row i of its (P, d) output depends on
+    row i of its (P, d) input alone.  It is called once per block of
+    whole last-axis rows of the half grid, at most `_EXPAND_BLOCK`
+    points where a row fits, so its intermediates stay block-sized; a
+    `StepMonitor` inside it therefore records once per block.
     """
     if d < 1:
         raise ValueError(f"need a dimension d >= 1, got {d!r}")
@@ -588,28 +598,50 @@ def expand_polynomial_map(step_closure, d: int, d_max: int,
     if n % 2 == 0:
         half[-1] = -radius
     base = np.concatenate([half, np.conj(half[1:(n + 1) // 2][::-1])])
-    grids = np.meshgrid(*([base] * (d - 1) + [half]), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = np.asarray(step_closure(pts))
-    if vals.shape != (len(pts), d):
-        raise ValueError("closure must map (P, d) points to (P, d) values")
-    vals = vals.reshape((n,) * (d - 1) + (len(half), d))
-    # equals fftn(vals) / n^d, which is real for a real map; only the
-    # (d_max + 1)^d exponent box is kept
-    coeff_grid = np.fft.irfftn(np.conj(vals), s=(n,) * d, axes=range(d))
-    coeff_grid = coeff_grid[(slice(0, npts),) * d]
+    # row r of the half grid is the point (base[i_0], ..., base[i_{d-2}],
+    # half[:]) with (i_0, ..., i_{d-2}) the C-order digits of r in base n;
+    # each coordinate's conjugated samples fill one slab of `conj_vals`
+    width = len(half)
+    n_rows = n ** (d - 1)
+    conj_vals = np.empty((d, n_rows, width), dtype=complex)
+    block_rows = max(1, _EXPAND_BLOCK // width)
+    for lo in range(0, n_rows, block_rows):
+        hi = min(lo + block_rows, n_rows)
+        rows = np.arange(lo, hi)
+        pts = np.empty((hi - lo, width, d), dtype=complex)
+        for axis in range(d - 1):
+            pts[:, :, axis] = base[rows // n ** (d - 2 - axis) % n, None]
+        pts[:, :, -1] = half
+        pts = pts.reshape(-1, d)
+        vals = np.asarray(step_closure(pts))
+        if vals.shape != (len(pts), d):
+            raise ValueError("closure must map (P, d) points to (P, d) values")
+        np.conjugate(vals.reshape(hi - lo, width, d).transpose(2, 0, 1),
+                     out=conj_vals[:, lo:hi])
+
+    # each coordinate's irfftn equals its fftn / n^d, which is real for a
+    # real map; only the (d_max + 1)^d exponent box is kept
+    box = (slice(0, npts),) * d
+    coeff_grid = np.empty((d,) + (npts,) * d)
+    for k in range(d):
+        coeff_grid[k] = np.fft.irfftn(
+            conj_vals[k].reshape((n,) * (d - 1) + (width,)), s=(n,) * d,
+            axes=range(d))[box]
+    del conj_vals  # freed before the magnitudes: a lower peak on large grids
+    point_mags = np.abs(coeff_grid[0])
+    for k in range(1, d):
+        np.maximum(point_mags, np.abs(coeff_grid[k]), out=point_mags)
 
     terms: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     scale_cache = radius ** np.arange(npts, dtype=float)
-    mags = np.abs(coeff_grid)
-    floor = 1e-12 * max(1.0, float(mags.max()))
+    floor = 1e-12 * max(1.0, float(point_mags.max()))
     # surviving grid points in C order; the descale product runs axis by
     # axis from 1.0, so each row gets the same bits a per-point loop would
-    betas = np.argwhere(~(mags.max(axis=-1) <= floor))
+    betas = np.argwhere(~(point_mags <= floor))
     descale = np.ones(len(betas))
     for axis in range(d):
         descale *= scale_cache[betas[:, axis]]
-    real = coeff_grid[tuple(betas.T)] / descale[:, None]
+    real = coeff_grid[(slice(None),) + tuple(betas.T)].T / descale[:, None]
     real[np.abs(real) <= floor] = 0.0
     keep = real.any(axis=1)
     for beta, row in zip(betas[keep].tolist(), real[keep]):

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 from scipy import sparse
@@ -188,10 +187,9 @@ def row_access(system: HorizonSystem, t: int, r: int) -> list[tuple[int, float]]
         start, stop = b.indptr[r], b.indptr[r + 1]
         # Python ints: int32 indices + (t-1)*dim would wrap past 2^31
         base = (t - 1) * dim
+        # a step's B is canonical: its columns come sorted, each once
         entries = [(base + c, (-v) * inv) for c, v in
                    zip(b.indices[start:stop].tolist(), b.data[start:stop].tolist())]
-        # a caller-built step may hold unsorted indices
-        entries.sort(key=itemgetter(0))
     # every column of block t-1 lies left of the diagonal
     entries.append((t * dim + r, 1.0 * inv))
     return entries

@@ -208,6 +208,27 @@ class TestLiftedStep:
         np.testing.assert_allclose(step.apply(lift_state(v, 4)),
                                    lift_state(a @ v, 4), atol=1e-12)
 
+    def test_built_lift_is_canonical_and_kept(self):
+        for coeffs, n_levels in [(shipped_coeffs(certify_instance(50)), 2),
+                                 (shipped_coeffs(folded_demo_instance(6)), 3),
+                                 (random_quadratic(3), 3)]:
+            step = build_lifted_step(coeffs, n_levels)
+            b = step.b_matrix
+            # the flag the build sets holds for the arrays themselves
+            fresh = sparse.csr_matrix((b.data, b.indices, b.indptr),
+                                      shape=b.shape)
+            assert fresh.has_canonical_format
+            again = LiftedStep(b, step.c_vector, step.d, step.n_levels)
+            assert again.b_matrix is b
+
+    def test_duplicate_entries_are_summed_in_a_copy(self):
+        b = sparse.csr_matrix(((0.1, 0.2, 0.3), (0, 0, 1), (0, 2, 3)),
+                              shape=(2, 2))
+        step = LiftedStep(b, np.zeros(2), 2, 1)
+        assert step.b_matrix is not b and b.nnz == 3
+        assert step.b_matrix.has_canonical_format and step.b_matrix.nnz == 2
+        np.testing.assert_array_equal(step.b_matrix.toarray(), b.toarray())
+
 
 def _kron_reference(coeffs, n_levels):
     """B and c as scipy assembles them: kron per block, CSR sums, bmat."""

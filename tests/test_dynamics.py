@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,21 @@ def _near_floor(pts):
                     axis=-1)
 
 
+def _power_field(pts):
+    # dense coefficients up to degree 12 on an axis
+    p = np.asarray(pts)
+    x, y = p[..., 0], p[..., 1]
+    return np.stack([(0.4 + 0.3 * x - 0.2 * y) ** 12,
+                     0.5 * y * (0.6 - 0.25 * x * y) ** 5], axis=-1)
+
+
+# half grids of several row blocks, the last one short: d = 2 at n = 216
+# (216 rows of 109, 150 rows a block) and d = 3 at n = 32 (1024 rows of
+# 17, 963 rows a block)
+_MULTI_BLOCK_CASES = [(_power_field, 2, 200, 1.0), (_cubic_field, 3, 30, 0.5)]
+_MULTI_BLOCK_IDS = ["d2-multi-block", "d3-multi-block"]
+
+
 class TestExtractionMatchesLoop:
     @pytest.mark.parametrize("closure,d,d_max,radius", [
         (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 5, 1.0),
@@ -393,8 +409,9 @@ class TestExtractionMatchesLoop:
         (_near_floor, 2, 3, 1.0),
         (_cubic_field, 3, 3, 1.0),
         (_cubic_field, 3, 5, 0.5),
-    ], ids=["d1", "d1-radius", "d2-zero-coord", "d2-zero-coord-radius",
-            "d2-near-floor", "d3", "d3-radius"])
+    ] + _MULTI_BLOCK_CASES, ids=["d1", "d1-radius", "d2-zero-coord",
+                                "d2-zero-coord-radius", "d2-near-floor",
+                                "d3", "d3-radius"] + _MULTI_BLOCK_IDS)
     def test_terms_bitwise_equal(self, closure, d, d_max, radius):
         got = expand_polynomial_map(closure, d, d_max, radius=radius).terms
         want = _loop_terms(closure, d, d_max, radius)
@@ -429,9 +446,10 @@ _EXPANSION_CASES = [
     (_cubic_field, 3, 3, 1.0),
     (_cubic_field, 3, 5, 0.5),
     (_surrogate_design_fold(), 2, 420, 0.05),
-]
+] + _MULTI_BLOCK_CASES
 _EXPANSION_IDS = ["d1", "d1-radius", "d2-zero-coord", "d2-zero-coord-radius",
-                  "d2-near-floor", "d3", "d3-radius", "surrogate-design-fold"]
+                  "d2-near-floor", "d3", "d3-radius",
+                  "surrogate-design-fold"] + _MULTI_BLOCK_IDS
 
 
 class TestHalfGridMatchesFullGrid:
@@ -483,6 +501,130 @@ class TestHalfGridMatchesFullGrid:
     def test_complex_coefficients_raise(self, closure):
         with pytest.raises(DegreeOverflowError):
             expand_polynomial_map(closure, 2, 3, radius=0.5)
+
+
+def _whole_grid_terms(step_closure, d, d_max, radius=1.0):
+    """Reference: the former sampling, the closure called once on the
+    whole half grid and one irfftn over all coordinates; the same floor,
+    descale and keep rules."""
+    npts = d_max + 1
+    n = dynamics._fast_fft_length(npts)
+    half = radius * np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
+    if n % 2 == 0:
+        half[-1] = -radius
+    base = np.concatenate([half, np.conj(half[1:(n + 1) // 2][::-1])])
+    grids = np.meshgrid(*([base] * (d - 1) + [half]), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals = np.asarray(step_closure(pts))
+    vals = vals.reshape((n,) * (d - 1) + (len(half), d))
+    coeff_grid = np.fft.irfftn(np.conj(vals), s=(n,) * d, axes=range(d))
+    coeff_grid = coeff_grid[(slice(0, npts),) * d]
+    terms = {}
+    scale_cache = radius ** np.arange(npts, dtype=float)
+    mags = np.abs(coeff_grid)
+    floor = 1e-12 * max(1.0, float(mags.max()))
+    betas = np.argwhere(~(mags.max(axis=-1) <= floor))
+    descale = np.ones(len(betas))
+    for axis in range(d):
+        descale *= scale_cache[betas[:, axis]]
+    real = coeff_grid[tuple(betas.T)] / descale[:, None]
+    real[np.abs(real) <= floor] = 0.0
+    keep = real.any(axis=1)
+    for beta, row in zip(betas[keep].tolist(), real[keep]):
+        terms.setdefault(sum(beta), {})[tuple(beta)] = row
+    return terms
+
+
+def _criterion_08_largest_closure():
+    # q = 2, K_s = K_c = 3, K_t = L_t = 2: degree bound 1296, n = 1350
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    grads = PolynomialGradient(
+        [x * x * 0.3 + y * 0.2 + MultiPoly.constant(2, 0.05)],
+        [x * y * 0.3 + y * 0.2 + MultiPoly.constant(2, 0.02)],
+        m=1, n=1, eps_u_grad=0.0, l_u_delta=1.0)
+    odd = np.array([0.6, 0.15])
+    closure, plan = compose_schedule(
+        [AttackSubstep(0.02, 1.0)] * 2, [LearnerSubstep(0.05)] * 2, 0.2,
+        grads, OddPolynomial(odd, 1.0), OddPolynomial(odd, 2.0))
+    assert plan.degree_bound == 1296
+    return closure
+
+
+class TestStreamedExpansion:
+    @staticmethod
+    def assert_same_terms(got, want):
+        assert list(got) == list(want)
+        for ell, by_beta in want.items():
+            assert list(got[ell]) == list(by_beta)
+            for beta, coeff in by_beta.items():
+                assert got[ell][beta].dtype == coeff.dtype
+                assert got[ell][beta].tobytes() == coeff.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_surrogate_design_folds_match_whole_grid(self, seed):
+        closure = _surrogate_design_fold(seed)
+        got = expand_polynomial_map(closure, 2, 420, radius=0.05).terms
+        self.assert_same_terms(got, _whole_grid_terms(closure, 2, 420, 0.05))
+
+    @pytest.mark.parametrize("d_max", [4, 8, 14, 30])
+    def test_odd_and_multi_block_lengths_match_whole_grid(self, d_max):
+        # n = 5, 9, 15 and 32 at d = 3
+        got = expand_polynomial_map(_cubic_field, 3, d_max, radius=0.5).terms
+        self.assert_same_terms(got, _whole_grid_terms(_cubic_field, 3, d_max, 0.5))
+
+    @pytest.mark.parametrize("closure,d,d_max", [
+        (lambda p: np.asarray(p) * 0.5 + 0.2 * np.asarray(p) ** 3, 1, 40),
+        (_power_field, 2, 20),
+        (_cubic_field, 3, 8),
+    ], ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_small_blocks_match_whole_grid(self, monkeypatch, closure, d,
+                                           d_max, block):
+        # a block is at least one whole row, even when the row is longer
+        monkeypatch.setattr(dynamics, "_EXPAND_BLOCK", block)
+        got = expand_polynomial_map(closure, d, d_max, radius=0.5).terms
+        self.assert_same_terms(got, _whole_grid_terms(closure, d, d_max, 0.5))
+
+    @pytest.mark.parametrize("d,d_max,rows,width", [
+        (1, 5, 1, 4), (2, 200, 216, 109), (3, 30, 1024, 17)])
+    def test_closure_called_on_whole_row_blocks(self, d, d_max, rows, width):
+        sizes = []
+
+        def closure(pts):
+            sizes.append(len(pts))
+            return 0.5 * np.asarray(pts)
+
+        expand_polynomial_map(closure, d, d_max)
+        *blocks, probe = sizes
+        per_block = dynamics._EXPAND_BLOCK // width * width
+        assert probe == dynamics._EXPAND_CHECK_POINTS
+        assert sum(blocks) == rows * width
+        assert all(size == per_block for size in blocks[:-1])
+        assert 0 < blocks[-1] <= per_block and blocks[-1] % width == 0
+
+    def test_monitor_records_once_per_block(self):
+        p_s = OddPolynomial(np.array([0.8, 0.1]))
+        p_c = OddPolynomial(np.array([0.9, -0.05]), halfwidth=2.0)
+        sched = StepSchedule.uniform(1, eps_ball=0.1, eta_delta=0.05,
+                                     eta_u=0.08)
+        monitor = StepMonitor(tau_s=0.0, tau_c=0.0, big_l=10.0)
+        closure = folded_step_closure(0, sched, toy_gradient(), p_s, p_c,
+                                      monitor)
+        # n = 32 at d = 3: two row blocks, then the residual probe
+        expand_polynomial_map(closure, 3, 30, radius=0.05)
+        assert monitor.checked == 3 and monitor.clean
+
+    def test_criterion_08_largest_grid_peak(self):
+        # the whole-grid sampling peaked at 209 MiB traced here
+        closure = _criterion_08_largest_closure()
+        tracemalloc.start()
+        try:
+            coeffs = expand_polynomial_map(closure, 2, 1296, radius=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.degree <= 1296
+        assert peak <= 209 * 2**20 / 2
 
 
 class TestExpansionInputs:
@@ -594,6 +736,18 @@ class TestMapCoeffs:
             coeffs.terms[1][beta] *= 2
         with pytest.raises(ValueError, match="read-only"):
             coeffs.norm_bounds()[1] = 0.0
+
+    def test_terms_refuse_assignment(self):
+        coeffs = PolynomialMapCoeffs(2, {1: {(1, 0): np.array([0.5, 0.0])}})
+        coeffs.norm_bounds()
+        with pytest.raises(TypeError):
+            coeffs.terms[1][(0, 1)] = np.array([0.0, 2.0])
+        with pytest.raises(TypeError):
+            coeffs.terms[2] = {(2, 0): np.array([1.0, 0.0])}
+        with pytest.raises(TypeError):
+            del coeffs.terms[1][(1, 0)]
+        assert list(coeffs.norm_bounds()) == [0.0, 0.5]
+        assert coeffs.operator_norm(1) == 0.5
 
     def test_matrices_and_sparsities_are_built_once(self):
         coeffs = self.make()

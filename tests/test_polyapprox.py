@@ -669,6 +669,27 @@ class TestSearchMatchesFullVerify:
         # failing candidates read 278,528 points; the hint saves most
         assert sum(read[deg] for deg in failed) < 278_528 / 3
 
+    def test_each_candidate_forms_its_derivative_once(self, monkeypatch):
+        # one chebder per round of clauses: the candidate's density and
+        # every clause but "identity" share it; the final clip certificate
+        # adds one for its "identity" clause
+        chebder, clause_results = C.chebder, polyapprox._clause_results
+        ders, rounds = [], []
+
+        def counted_der(c, *args, **kwargs):
+            ders.append(len(c) - 1)
+            return chebder(c, *args, **kwargs)
+
+        def counted_rounds(poly, *args, **kwargs):
+            rounds.append(poly.degree)
+            return clause_results(poly, *args, **kwargs)
+
+        monkeypatch.setattr(polyapprox.C, "chebder", counted_der)
+        monkeypatch.setattr(polyapprox, "_clause_results", counted_rounds)
+        design_clip_poly(ClipSpec(2.0, 0.1, 0.02))
+        assert len(ders) == len(rounds) + 1
+        assert ders[:-2] == rounds[:-1] and ders[-2:] == rounds[-1:] * 2
+
     @pytest.mark.parametrize("spec", [
         SignSpec(1.0, 0.2, 0.05), SignSpec(1.0, 0.1, 0.05),
         SignSpec(1.0, 0.05, 0.1), SignSpec(2.0, 0.3, 0.1),
@@ -748,6 +769,21 @@ class TestOddPolynomial:
         xs = np.linspace(-1.5, 1.5, 20001)
         assert np.max(np.abs(poly.derivative_values(xs))) <= \
             poly.derivative_sup_bound() + 1e-12
+
+    def test_derivative_sup_bound_is_computed_once(self, monkeypatch):
+        poly = OddPolynomial(np.array([0.9, -0.3, 0.08]), halfwidth=1.5)
+        calls = []
+        chebder = C.chebder
+
+        def counted(c, *args, **kwargs):
+            calls.append(len(c))
+            return chebder(c, *args, **kwargs)
+
+        monkeypatch.setattr(polyapprox.C, "chebder", counted)
+        bound = poly.derivative_sup_bound()
+        assert poly.derivative_sup_bound() == bound and len(calls) == 1
+        want = float(np.sum(np.abs(chebder(poly.full_coeffs())))) / 1.5
+        assert np.float64(bound).tobytes() == np.float64(want).tobytes()
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
            st.floats(0.1, 4.0))

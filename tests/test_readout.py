@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import robustlift.readout
-from robustlift.carleman import build_lifted_step, lift_state
+from robustlift import horizon
+from robustlift.carleman import LiftedStep, build_lifted_step, lift_state
 from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
@@ -407,3 +409,15 @@ class TestRowAccessSpotCheck:
         b = step.b_matrix
         b.data[:] = np.nextafter(b.data, np.inf)
         assert not _row_access_spot_check(system, np.random.default_rng(0))
+
+    def test_duplicate_entries_pass(self):
+        # row 0 of B stores column 0 twice; the stacked matrix sums them
+        b = sparse.csr_matrix(((0.1, 0.2, 0.3), (0, 0, 1), (0, 2, 3)),
+                              shape=(2, 2))
+        step = LiftedStep(b, np.zeros(2), 2, 1)
+        system = assemble_horizon([step] * 2, np.zeros(2), 0.5)
+        row = system.matrix_normalized[2].toarray()[0]
+        got = horizon.row_access(system, 1, 0)
+        assert got == [(0, row[0]), (2, row[2])]
+        assert row[0] == -(0.1 + 0.2) * system.inv_scale
+        assert _row_access_spot_check(system, np.random.default_rng(0))
