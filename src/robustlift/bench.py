@@ -1,15 +1,16 @@
 """Reduced adversarial-training experiment and reduction validation.
 
-Data path: digits 0..4, images area-pooled to 12x12, flattened to 144
-features, then a fixed random projection down to 10 dimensions.  When no
-IDX files are available the loader synthesizes Gaussian blob images with
-the same shapes, so every downstream consumer sees one format.
+Data path: digits `DIGITS` (0..4), images area-pooled to `POOLED_SIDE`
+(12x12), flattened to 144 features, then a fixed random projection down
+to `PROJECTED_DIM` (10) dimensions.  When no IDX files are available the
+loader synthesizes Gaussian blob images with the same shapes, so every
+downstream consumer sees one format.
 
-The classifier is bias-free 10 -> 4 -> 5 (60 parameters).  Choices the
-experiment leaves open are fixed here and recorded in run metadata:
-tanh hidden activation, softmax cross-entropy, plain SGD, and the
-projection scale.  Training-time attacks reuse the evaluation PGD
-configuration.
+The classifier is bias-free 10 -> `HIDDEN_DIM` (4) -> `N_CLASSES` (5),
+60 parameters.  Choices the experiment leaves open are fixed here and
+recorded in run metadata: tanh hidden activation, softmax cross-entropy,
+plain SGD, and the projection scale.  Training-time attacks reuse the
+evaluation PGD configuration.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ LABEL_MAGIC = 0x00000801
 # the evaluation ball of 0.025 should move points by a quarter of the
 # typical feature scale, otherwise the attack barely grades the model
 PROJECTION_SCALE = 0.08
+
+# the reduced task's data and architecture (see the module docstring)
+DIGITS = (0, 1, 2, 3, 4)
+POOLED_SIDE = 12
+PROJECTED_DIM = 10
+HIDDEN_DIM = 4
+N_CLASSES = 5
+_BLOBS_PER_CLASS = 400  # synthetic fallback images per class
+_PLATEAU_TAIL = 0.2  # share of a curve that `plateau_ratio` calls its tail
 
 MODE_ALPHA = {"clean": 0.0, "mixed": 0.5, "robust": 1.0}
 
@@ -118,22 +128,23 @@ def area_average_pool(images: np.ndarray, out_side: int = 12) -> np.ndarray:
     return np.einsum("oi,nij,pj->nop", w, images, wc)
 
 
-def random_projection(seed: int, in_dim: int = 144, out_dim: int = 10,
-                      scale: float = PROJECTION_SCALE) -> np.ndarray:
+def random_projection(seed: int) -> np.ndarray:
+    """Pooled features to PROJECTED_DIM: Gaussian entries scaled by
+    PROJECTION_SCALE / sqrt(PROJECTED_DIM)."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((out_dim, in_dim)) * (scale / math.sqrt(out_dim))
+    return (rng.standard_normal((PROJECTED_DIM, POOLED_SIDE**2))
+            * (PROJECTION_SCALE / math.sqrt(PROJECTED_DIM)))
 
 
-def synthetic_blob_images(seed: int, per_class: int = 400, classes: int = 5,
-                          side: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_blob_images(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian bumps at class-specific positions plus pixel noise."""
     rng = np.random.default_rng(seed)
     centers = [(3, 3), (3, 8), (8, 3), (8, 8), (5.5, 5.5)]
-    yy, xx = np.mgrid[0:side, 0:side]
+    yy, xx = np.mgrid[0:POOLED_SIDE, 0:POOLED_SIDE]
     images, labels = [], []
-    for c in range(classes):
-        cy, cx = centers[c % len(centers)]
-        for _ in range(per_class):
+    for c in range(N_CLASSES):
+        cy, cx = centers[c]
+        for _ in range(_BLOBS_PER_CLASS):
             jy = cy + rng.normal(0, 0.9)
             jx = cx + rng.normal(0, 0.9)
             width = 2.0 + rng.normal(0, 0.25)
@@ -155,17 +166,15 @@ class ReducedDataset:
         return len(self.labels)
 
 
-def load_mnist_reduced(path: str | None = None, digits=(0, 1, 2, 3, 4),
-                       seed: int = 0, limit: int | None = None,
-                       out_side: int = 12,
-                       projected_dim: int = 10) -> ReducedDataset:
+def load_mnist_reduced(path: str | None = None, seed: int = 0,
+                       limit: int | None = None) -> ReducedDataset:
     """Digits subset, pooled and projected; synthetic fallback if no files.
 
     `path` names a directory holding train-images-idx3-ubyte and
     train-labels-idx1-ubyte (optionally gzipped).  A present-but-broken
-    file is an error; an absent path falls back to blobs.
+    file is an error; an absent path falls back to blobs.  `limit` caps
+    how many of the kept images are used.
     """
-    digits = tuple(digits)
     source = "synthetic"
     if path is not None:
         img_file = lab_file = None
@@ -182,27 +191,25 @@ def load_mnist_reduced(path: str | None = None, digits=(0, 1, 2, 3, 4),
         if img_file and lab_file:
             images = read_idx_images(img_file).astype(float) / 255.0
             labels = read_idx_labels(lab_file).astype(np.int64)
-            keep = np.isin(labels, digits)
+            keep = np.isin(labels, DIGITS)
             images, labels = images[keep], labels[keep]
             source = "idx"
     if source == "synthetic":
+        # one blob class per digit, labelled with the digit
         images, labels = synthetic_blob_images(seed)
-        keep = np.isin(labels, digits)
-        images, labels = images[keep], labels[keep]
     if limit is not None:
         images, labels = images[:limit], labels[:limit]
-    pooled = area_average_pool(images, out_side)
+    pooled = area_average_pool(images, POOLED_SIDE)
     flat = pooled.reshape(len(pooled), -1)
-    proj = random_projection(seed, in_dim=flat.shape[1], out_dim=projected_dim)
-    features = flat @ proj.T
-    counts = {int(d): int((labels == d).sum()) for d in digits}
+    features = flat @ random_projection(seed).T
+    counts = {d: int((labels == d).sum()) for d in DIGITS}
     meta = {
         "source": source,
-        "digits": list(digits),
+        "digits": list(DIGITS),
         "resize": "area-average-pool",
-        "out_side": out_side,
+        "out_side": POOLED_SIDE,
         "feature_dim": flat.shape[1],
-        "projected_dim": projected_dim,
+        "projected_dim": PROJECTED_DIM,
         "projection": "gaussian/sqrt(out_dim)",
         "projection_scale": PROJECTION_SCALE,
         "seed": seed,
@@ -217,10 +224,6 @@ def load_mnist_reduced(path: str | None = None, digits=(0, 1, 2, 3, 4),
 
 @dataclass(frozen=True)
 class ReducedTask:
-    feature_dim: int = 144
-    projected_dim: int = 10
-    n_classes: int = 5
-    hidden_dim: int = 4
     batch_size: int = 5
     n_steps: int = 10_000
     learning_rate: float = 0.15
@@ -229,15 +232,6 @@ class ReducedTask:
     pgd_eps: float = 0.025
     pgd_step: float = 0.01
     pgd_steps: int = 10
-
-    def __post_init__(self) -> None:
-        if self.param_count != 60:
-            raise ValueError("reduced model must have 60 parameters")
-
-    @property
-    def param_count(self) -> int:
-        return (self.projected_dim * self.hidden_dim
-                + self.hidden_dim * self.n_classes)
 
 
 class ReducedModel:
@@ -250,10 +244,9 @@ class ReducedModel:
     @classmethod
     def init(cls, task: ReducedTask, seed: int) -> "ReducedModel":
         rng = np.random.default_rng(seed)
-        w1 = rng.standard_normal((task.hidden_dim, task.projected_dim))
-        w2 = rng.standard_normal((task.n_classes, task.hidden_dim))
-        return cls(w1 / math.sqrt(task.projected_dim),
-                   w2 / math.sqrt(task.hidden_dim))
+        w1 = rng.standard_normal((HIDDEN_DIM, PROJECTED_DIM))
+        w2 = rng.standard_normal((N_CLASSES, HIDDEN_DIM))
+        return cls(w1 / math.sqrt(PROJECTED_DIM), w2 / math.sqrt(HIDDEN_DIM))
 
     @property
     def param_count(self) -> int:
@@ -296,11 +289,8 @@ def pgd_attack(model: ReducedModel, x: np.ndarray, y: np.ndarray,
 
 
 def pgd_evaluate(model: ReducedModel, dataset: ReducedDataset,
-                 eps: float = 0.025, step: float = 0.01, steps: int = 10,
-                 max_samples: int | None = None) -> float:
+                 eps: float = 0.025, step: float = 0.01, steps: int = 10) -> float:
     x, y = dataset.features, dataset.labels
-    if max_samples is not None:
-        x, y = x[:max_samples], y[:max_samples]
     delta = pgd_attack(model, x, y, eps, step, steps)
     return model.accuracy(x + delta, y)
 
@@ -410,12 +400,12 @@ def write_metrics_csv(path: str, rows) -> None:
                              repr(r.robust_acc), repr(r.clean_loss)])
 
 
-def plateau_ratio(values, tail_frac: float = 0.2) -> float:
+def plateau_ratio(values) -> float:
     """Tail variance over head variance; small means the curve plateaued."""
     values = np.asarray(values, dtype=float)
     if len(values) < 5:
         raise ValueError("too few points to assess a plateau")
-    cut = int(math.ceil(len(values) * (1.0 - tail_frac)))
+    cut = int(math.ceil(len(values) * (1.0 - _PLATEAU_TAIL)))
     head, tail = values[:cut], values[cut:]
     hv, tv = float(head.var()), float(tail.var())
     if hv < 1e-18:

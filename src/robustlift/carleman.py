@@ -352,11 +352,12 @@ def run_truncated_recurrence(steps, y0: np.ndarray, t_window: int,
                              ) -> RecurrenceResult:
     """Iterate the truncated recurrence; optionally track the tail residual.
 
-    `steps` is one LiftedStep (time-invariant) or a sequence with one per
-    step.  When `reference` supplies the underlying states v(0..T), eta(t)
-    is the gap between the exact lift of v(t) and the truncated iterate.
+    `steps` holds one LiftedStep per time step (`[step] * T` for a
+    time-invariant window).  When `reference` supplies the underlying
+    states v(0..T), eta(t) is the gap between the exact lift of v(t) and
+    the truncated iterate.
     """
-    per_step = list(steps) if isinstance(steps, (list, tuple)) else [steps] * t_window
+    per_step = list(steps)
     if len(per_step) != t_window:
         raise ValueError("need one lifted step per time step")
     y = np.empty((t_window + 1, len(y0)))

@@ -540,16 +540,6 @@ class PolynomialMapCoeffs:
         }
         return json.dumps(payload, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PolynomialMapCoeffs":
-        payload = json.loads(text)
-        terms = {
-            int(ell): {tuple(entry["beta"]): np.array(entry["coeffs"], dtype=float)
-                       for entry in entries}
-            for ell, entries in payload["terms"].items()
-        }
-        return cls(int(payload["d"]), terms)
-
 
 def _fast_fft_length(minimum: int) -> int:
     """Smallest n >= minimum with no prime factor above 5."""

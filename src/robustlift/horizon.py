@@ -10,10 +10,10 @@ The system is held as its steps: `HorizonSystem.matvec` applies M block
 by block, and the solvers substitute through the same blocks.  The
 stacked CSR of M and of its normalized copy M / (1 + rho) is built only
 when something asks for it (the dense SVD, Matrix Market export, a row
-check), and only after its closed-form nonzero count is checked against
-`MAX_STACKED_NNZ`.  `row_access` reproduces the normalized rows entry
-for entry from the stored step blocks, which is what a query oracle
-would serve.
+check), and only after its closed-form nonzero count, `stacked_nnz`, is
+checked against `MAX_STACKED_NNZ`.  `row_access` reproduces the
+normalized rows entry for entry from the stored step blocks, which is
+what a query oracle would serve.
 """
 
 from __future__ import annotations
@@ -71,6 +71,18 @@ class HorizonSystem:
     def inv_scale(self) -> float:
         return 1.0 / (1.0 + self.rho)
 
+    @property
+    def stacked_nnz(self) -> int:
+        """Nonzeros the stacked CSR holds: dim + sum over t of nnz(B_t)."""
+        return self.dim + sum(s.b_matrix.nnz for s in self.steps)
+
+    @property
+    def max_row_nnz(self) -> int:
+        """Longest row of the stacked CSR, read from the steps: the diagonal
+        entry plus the longest row of any B_t (1 at T = 0)."""
+        distinct = {id(s): s.b_matrix for s in self.steps}.values()
+        return 1 + max((int(np.diff(b.indptr).max()) for b in distinct), default=0)
+
     def matvec(self, y: np.ndarray) -> np.ndarray:
         """M y, applied block by block from the steps.
 
@@ -104,7 +116,7 @@ class HorizonSystem:
         return out
 
     def _stacked_csr(self) -> sparse.csr_matrix:
-        nnz = self.dim + sum(s.b_matrix.nnz for s in self.steps)
+        nnz = self.stacked_nnz
         if nnz > MAX_STACKED_NNZ:
             raise MemoryError(f"stacked matrix would hold {nnz} nonzeros, "
                               f"above MAX_STACKED_NNZ = {MAX_STACKED_NNZ}")

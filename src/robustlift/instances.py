@@ -64,6 +64,11 @@ _DECLARED_DELTA_S = 0.05
 _DECLARED_DELTA_C = 0.05
 # highest folded step degree that is expanded symbolically
 _MAX_EXPAND_DEGREE = 60
+# random families: the norms `random_coeff_map` gives degrees 0, 1 and
+# l >= 2 (divided by l!), and the largest d, degree, N and T that
+# `random_contractive` draws
+_CONST_NORM, _LIN_NORM, _HIGH_NORM = 0.02, 0.5, 0.1
+_D_MAX, _DEGREE_MAX, _N_LEVELS_MAX, _T_MAX = 3, 3, 4, 20
 
 
 @dataclass
@@ -292,17 +297,16 @@ def _exponents(d: int, ell: int):
         yield tuple(beta)
 
 
-def random_coeff_map(rng: np.random.Generator, d: int, degree: int,
-                     lin_norm: float = 0.5, const_norm: float = 0.02,
-                     high_norm: float = 0.1) -> PolynomialMapCoeffs:
+def random_coeff_map(rng: np.random.Generator, d: int,
+                     degree: int) -> PolynomialMapCoeffs:
     """Dense random coefficients at controlled per-degree norms."""
     terms: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for ell in range(degree + 1):
         block = {beta: rng.standard_normal(d) for beta in _exponents(d, ell)}
         terms[ell] = block
     coeffs = PolynomialMapCoeffs(d, terms)
-    targets = [const_norm, lin_norm] + [high_norm / math.factorial(ell)
-                                        for ell in range(2, degree + 1)]
+    targets = [_CONST_NORM, _LIN_NORM] + [_HIGH_NORM / math.factorial(ell)
+                                          for ell in range(2, degree + 1)]
     return coeffs.scaled([target / norm if norm != 0.0 else 1.0
                           for target, norm in zip(targets, coeffs.norm_bounds())])
 
@@ -323,9 +327,7 @@ class RandomSystem:
         return out
 
 
-def random_contractive(rng: np.random.Generator, d_max: int = 3,
-                       degree_max: int = 3, n_levels_max: int = 4,
-                       t_max: int = 20, rho_target: float = 0.95,
+def random_contractive(rng: np.random.Generator, rho_target: float = 0.95,
                        degree: int | None = None) -> RandomSystem:
     """Draw a coefficient map and shrink it until the majorant certifies.
 
@@ -334,11 +336,11 @@ def random_contractive(rng: np.random.Generator, d_max: int = 3,
     """
     from .carleman import majorant_and_contractivity
 
-    d = int(rng.integers(1, d_max + 1))
-    deg = int(degree if degree is not None else rng.integers(1, degree_max + 1))
-    n_levels = int(rng.integers(max(2, deg), n_levels_max + 1)) \
-        if n_levels_max >= max(2, deg) else n_levels_max
-    t_window = int(rng.integers(1, t_max + 1))
+    d = int(rng.integers(1, _D_MAX + 1))
+    deg = int(degree if degree is not None else rng.integers(1, _DEGREE_MAX + 1))
+    n_levels = int(rng.integers(max(2, deg), _N_LEVELS_MAX + 1)) \
+        if _N_LEVELS_MAX >= max(2, deg) else _N_LEVELS_MAX
+    t_window = int(rng.integers(1, _T_MAX + 1))
     coeffs = random_coeff_map(rng, d, deg)
     for _ in range(200):
         rho = majorant_and_contractivity(coeffs, n_levels).rho

@@ -108,18 +108,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(self.d, 1.0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     # -- queries -------------------------------------------------------
     def total_degree(self, tol: float = 0.0) -> int:
         mask = np.abs(self.coeffs) > tol

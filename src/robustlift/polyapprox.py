@@ -20,10 +20,10 @@ magnitudes bit for bit without allocating per step, and folds each zero
 coefficient of an odd series into the step after it.  A final
 certificate reads every chunk.  A search candidate, of which only pass
 or fail is kept, first reads a window around the point where the
-previous candidate failed and stops at its first failing chunk.  Polynomials are kept in the odd
-Chebyshev basis of their interval; near-minimax approximants of the
-degrees needed here have astronomically large monomial coefficients, so
-a monomial form only exists as a low-degree export convenience.
+previous candidate failed and stops at its first failing chunk.
+Polynomials are kept in the odd Chebyshev basis of their interval:
+near-minimax approximants of the degrees needed here have astronomically
+large monomial coefficients.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ DEFAULT_C_LITTLE_S = 2.0
 # the sign search's degree cap, and the grid density a design starts from
 _MAX_DESIGN_DEGREE = 4000
 _DESIGN_DENSITY = 1e4
-
-_MONOMIAL_EXPORT_MAX_DEGREE = 60
 
 # grid points per kernel call when a clause is scanned: the per-call cost
 # of a Clenshaw pass stays small beside a full certificate, and a failing
@@ -241,41 +239,11 @@ class OddPolynomial:
     def _derivative_sup(self) -> float:
         return float(np.sum(np.abs(C.chebder(self.full_coeffs())))) / self.halfwidth
 
-    def to_monomial(self) -> np.ndarray:
-        """Ascending odd monomial coefficients of x (not x/halfwidth).
-
-        Refuses degrees where the conversion is float noise.
-        """
-        if self.degree > _MONOMIAL_EXPORT_MAX_DEGREE:
-            raise ValueError(
-                f"monomial conversion is numerically meaningless at degree "
-                f"{self.degree} (> {_MONOMIAL_EXPORT_MAX_DEGREE})"
-            )
-        mono = C.cheb2poly(self.full_coeffs())
-        scale = self.halfwidth ** (-np.arange(len(mono), dtype=float))
-        return (mono * scale)[1::2]
-
     def save_text(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"# odd chebyshev coefficients, ascending degree; halfwidth={float(self.halfwidth)!r}\n")
             for c in self.odd_coeffs:
                 fh.write(f"{float(c)!r}\n")
-
-    @classmethod
-    def load_text(cls, path) -> "OddPolynomial":
-        halfwidth = 1.0
-        coeffs: list[float] = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "halfwidth=" in line:
-                        halfwidth = float(line.split("halfwidth=")[1])
-                    continue
-                coeffs.append(float(line))
-        return cls(np.array(coeffs), halfwidth)
 
 
 # ----------------------------------------------------------------------

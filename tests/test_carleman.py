@@ -406,7 +406,8 @@ class TestRecurrence:
             v = traj[-1][0]
             traj.append(np.array([0.5 * v + 0.1 * v * v]))
         step = build_lifted_step(coeffs, n_levels)
-        res = run_truncated_recurrence(step, lift_state(traj[0], n_levels),
+        res = run_truncated_recurrence([step] * t_window,
+                                       lift_state(traj[0], n_levels),
                                        t_window, reference=traj)
         return coeffs, traj, res
 
@@ -425,8 +426,8 @@ class TestRecurrence:
         for _ in range(50):
             traj.append(a @ traj[-1])
         step = build_lifted_step(coeffs, 4)
-        res = run_truncated_recurrence(step, lift_state(traj[0], 4), 50,
-                                       reference=traj)
+        res = run_truncated_recurrence([step] * 50, lift_state(traj[0], 4),
+                                       50, reference=traj)
         assert np.max(np.abs(res.eta)) <= 1e-13
 
     def test_quadratic_toy_obeys_tail_bounds(self):
@@ -446,6 +447,11 @@ class TestRecurrence:
         assert res.stacked.shape == (6,)
         with pytest.raises(ValueError):
             run_truncated_recurrence([step], lift_state([0.1], 2), 2)
+
+    def test_bare_step_rejected(self):
+        step = build_lifted_step(scalar_map(0.5, 0.1), 2)
+        with pytest.raises(TypeError):
+            run_truncated_recurrence(step, lift_state([0.1], 2), 2)
 
 
 class TestMajorant:

@@ -680,13 +680,6 @@ class TestMapCoeffs:
         polys = structural_step_polys(0, sched, grads, p_s, p_c)
         return PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-13)
 
-    def test_roundtrip_json(self):
-        coeffs = self.make()
-        back = PolynomialMapCoeffs.from_json(coeffs.to_json())
-        pts = RNG.uniform(-0.2, 0.2, size=(20, 3))
-        np.testing.assert_allclose(back.evaluate(pts), coeffs.evaluate(pts),
-                                   atol=1e-14)
-
     def test_operator_norm_dominates_matrix_norm(self):
         coeffs = self.make()
         for ell in range(coeffs.degree + 1):

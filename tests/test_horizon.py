@@ -262,6 +262,26 @@ class TestSparsity:
             direct = sum(math.comb(s + j - 1, j - 1) for s in range(1, n + 1))
             assert hockey_stick_total(j, n) == direct
 
+    @pytest.mark.parametrize("t_window", [0, 1, 5])
+    def test_counts_match_stacked_matrix(self, t_window):
+        _, system = lift_window(quadratic_coeffs(2), 3, np.full(2, 0.1),
+                                t_window, 0.4)
+        assert system.stacked_nnz == system.matrix.nnz
+        assert system.max_row_nnz == np.diff(system.matrix.indptr).max()
+        if t_window == 0:
+            assert system.max_row_nnz == 1
+
+    def test_counts_keep_stored_zeros(self):
+        # row 0 of the second B stores an explicit zero, which the stacked
+        # CSR keeps; the first B's rows are shorter
+        short = LiftedStep(sparse.identity(2, format="csr"), np.zeros(2), 2, 1)
+        b = sparse.csr_matrix(((0.1, 0.0, 0.3), (0, 1, 1), (0, 2, 3)),
+                              shape=(2, 2))
+        step = LiftedStep(b, np.zeros(2), 2, 1)
+        system = assemble_horizon([short, step, short], np.zeros(2), 0.5)
+        assert system.stacked_nnz == system.matrix.nnz == 8 + 2 + 3 + 2
+        assert system.max_row_nnz == np.diff(system.matrix.indptr).max() == 3
+
     def test_stacked_rows_within_bound(self):
         coeffs, step, system = toy_system(t_window=5)
         report = sparsity_bounds(coeffs.row_sparsities(), system.n_levels)

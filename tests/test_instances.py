@@ -192,13 +192,11 @@ class TestWindowProtocol:
 class TestRandomFamilies:
     def test_coeff_map_hits_norm_targets(self):
         rng = np.random.default_rng(7)
-        coeffs = random_coeff_map(rng, 2, 3, lin_norm=0.4, const_norm=0.01,
-                                  high_norm=0.2)
-        norms = coeffs.norm_bounds()
-        assert norms[0] == pytest.approx(0.01, rel=1e-9)
-        assert norms[1] == pytest.approx(0.4, rel=1e-9)
-        assert norms[2] == pytest.approx(0.2 / 2, rel=1e-9)
-        assert norms[3] == pytest.approx(0.2 / 6, rel=1e-9)
+        norms = random_coeff_map(rng, 2, 3).norm_bounds()
+        assert norms[0] == pytest.approx(0.02, rel=1e-9)
+        assert norms[1] == pytest.approx(0.5, rel=1e-9)
+        assert norms[2] == pytest.approx(0.1 / 2, rel=1e-9)
+        assert norms[3] == pytest.approx(0.1 / 6, rel=1e-9)
 
     def test_contractive_draws_meet_target(self):
         rng = np.random.default_rng(19)

@@ -29,7 +29,6 @@ class TestMultiPoly:
         np.testing.assert_allclose((a + b)(pts), a(pts) + b(pts), atol=1e-10)
         np.testing.assert_allclose((a - b)(pts), a(pts) - b(pts), atol=1e-10)
         np.testing.assert_allclose((a * b)(pts), a(pts) * b(pts), rtol=1e-10)
-        np.testing.assert_allclose((a ** 3)(pts), a(pts) ** 3, rtol=1e-8)
 
     def test_substitution_is_composition(self):
         outer = random_poly(2, 2, RNG)

@@ -6,6 +6,7 @@ with a leading underscore (dunders aside) stays inside its module.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -42,8 +43,9 @@ def test_no_private_names_imported_from_siblings(name):
 # none of them may come back as a parameter of the callable it left
 _REMOVED_PARAMETERS = {
     ("readout", "run_pipeline_certificate"): (
-        "max_stacked_nnz",   # _MAX_STACKED_NNZ
+        "max_stacked_nnz",   # horizon.MAX_STACKED_NNZ
         "p_star_fraction"),  # _P_STAR_FRACTION
+    ("readout", "_row_access_spot_check"): ("samples",),  # _SPOT_CHECK_ROWS
     ("polyapprox", "design_sign_poly"): (
         "max_degree",    # _MAX_DESIGN_DEGREE
         "grid_density",  # _DESIGN_DENSITY
@@ -64,6 +66,28 @@ _REMOVED_PARAMETERS = {
     ("carleman", "run_truncated_recurrence"): ("dim_cap",),
     ("horizon", "condition_bounds"): ("dense_limit",),  # DENSE_SVD_LIMIT
     ("horizon", "save_matrix_market"): ("normalized",),
+    ("bench", "ReducedTask"): (
+        "feature_dim",     # unread
+        "projected_dim",   # PROJECTED_DIM
+        "n_classes",       # N_CLASSES
+        "hidden_dim"),     # HIDDEN_DIM
+    ("bench", "load_mnist_reduced"): (
+        "digits",          # DIGITS
+        "out_side",        # POOLED_SIDE
+        "projected_dim"),
+    ("bench", "synthetic_blob_images"): (
+        "per_class",       # _BLOBS_PER_CLASS
+        "classes",         # N_CLASSES
+        "side"),           # POOLED_SIDE
+    ("bench", "random_projection"): (
+        "in_dim", "out_dim",
+        "scale"),          # PROJECTION_SCALE
+    ("bench", "pgd_evaluate"): ("max_samples",),  # the whole set
+    ("bench", "plateau_ratio"): ("tail_frac",),   # _PLATEAU_TAIL
+    ("instances", "random_coeff_map"): (
+        "lin_norm", "const_norm", "high_norm"),   # _LIN_NORM, ...
+    ("instances", "random_contractive"): (
+        "d_max", "degree_max", "n_levels_max", "t_max"),  # _D_MAX, ...
 }
 # constructor fields of the instance classes that became class variables
 # (uses_fold), module constants or a non-init cache
@@ -79,6 +103,37 @@ def test_removed_settings_stay_removed(where):
         target = getattr(target, attr)
     params = set(inspect.signature(target).parameters)
     assert params.isdisjoint(_REMOVED_PARAMETERS[where])
+
+
+def test_reduced_task_holds_what_the_cli_sets():
+    # every ReducedTask field is a keyword of the CLI's one construction
+    from robustlift import bench, cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    set_by_cli = {kw.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "ReducedTask"
+                  for kw in node.keywords}
+    fields = {f.name for f in dataclasses.fields(bench.ReducedTask)}
+    assert fields == set_by_cli and len(fields) == 8
+
+
+# methods no pipeline called, deleted with the tests that were their only callers
+_REMOVED_NAMES = {
+    "polyapprox": ("OddPolynomial.to_monomial", "OddPolynomial.load_text",
+                   "_MONOMIAL_EXPORT_MAX_DEGREE"),
+    "dynamics": ("PolynomialMapCoeffs.from_json",),
+    "multipoly": ("MultiPoly.__pow__",),
+    "readout": ("_MAX_STACKED_NNZ",),  # horizon.MAX_STACKED_NNZ
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REMOVED_NAMES))
+def test_removed_names_stay_removed(name):
+    module = importlib.import_module(f"robustlift.{name}")
+    for path in _REMOVED_NAMES[name]:
+        owner, _, attr = path.rpartition(".")
+        assert not hasattr(getattr(module, owner) if owner else module, attr)
 
 
 @pytest.mark.parametrize("cls", ["CertifyInstance", "FoldedInstance"])

@@ -749,21 +749,6 @@ class TestBudgetSplit:
 
 
 class TestOddPolynomial:
-    def test_roundtrip_text(self, tmp_path):
-        poly = design_sign_poly(SignSpec(1.0, 0.3, 0.1))
-        path = tmp_path / "p.txt"
-        poly.save_text(path)
-        back = OddPolynomial.load_text(path)
-        assert back.halfwidth == poly.halfwidth
-        assert np.array_equal(back.odd_coeffs, poly.odd_coeffs)
-
-    def test_monomial_conversion_matches_evaluation(self):
-        poly = OddPolynomial(np.array([0.7, -0.2, 0.05]), halfwidth=2.0)
-        mono = poly.to_monomial()
-        xs = np.linspace(-2.0, 2.0, 57)
-        direct = sum(c * xs ** (2 * k + 1) for k, c in enumerate(mono))
-        np.testing.assert_allclose(direct, poly(xs), atol=1e-12)
-
     def test_derivative_sup_bound_is_sound(self):
         poly = OddPolynomial(np.array([0.9, -0.3, 0.08]), halfwidth=1.5)
         xs = np.linspace(-1.5, 1.5, 20001)

@@ -222,15 +222,29 @@ class TestPipelineCertificate:
         assert ratio == pytest.approx(1.8, rel=1e-9)
 
     def test_lift_cap_bounds_the_stacked_system(self, monkeypatch):
-        # a cap nothing fits under floors the lift at two levels; the
-        # certificate still reports whatever that lift delivers
+        # a cap that only the N = 2 window's stack fits under floors the
+        # lift at two levels; the certificate still reports whatever that
+        # lift delivers
         inst = folded_demo_instance()
         free = run_pipeline_certificate(inst, 0.3)
-        monkeypatch.setattr(robustlift.readout, "_MAX_STACKED_NNZ", 1)
+        coeffs = inst.build_expansion(*inst.fixed_polys)
+        _, two = horizon.lift_window(coeffs, 2, np.zeros(coeffs.d),
+                                     inst.sched.t_window, 0.5)
+        monkeypatch.setattr(horizon, "MAX_STACKED_NNZ", two.stacked_nnz)
         capped = run_pipeline_certificate(inst, 0.3)
         assert capped.n_levels == 2 < free.n_levels
         assert set(capped.hypotheses) == set(free.hypotheses)
         assert json.loads(capped.to_json())["n_levels"] == 2
+
+    def test_h3_flags_rows_above_the_sparsity_bound(self, monkeypatch):
+        # the stored rows hold more than the reported bound: H3 is flagged
+        # and the certificate is red, nothing raises
+        monkeypatch.setattr(horizon, "sparsity_bounds",
+                            lambda *args: horizon.SparsityReport(0, 1))
+        cert = run_pipeline_certificate(certify_instance(10), 0.05)
+        h3 = cert.hypotheses["H3_access_model"]
+        assert h3["s_row_bound"] == 1 < h3["max_row_nnz"]
+        assert h3["pass"] is False and cert.passed is False
 
     def test_terminal_matches_direct_iteration(self):
         # the reconstructed parameter equals the plain descent iterate

@@ -116,6 +116,9 @@ class TestDifferential:
         assert rel_gap(sol.stacked, fwd.stacked) <= 1e-10
         y = np.random.default_rng(seed).standard_normal(system.dim)
         assert rel_gap(system.matvec(y), system.matrix @ y) <= 1e-13
+        # the closed-form counts are the stacked CSR's
+        assert system.stacked_nnz == system.matrix.nnz
+        assert system.max_row_nnz == np.diff(system.matrix.indptr).max()
         assert sol.residual <= 1e-12 and fwd.residual <= 1e-12
 
     def test_frontier_size_solves_without_stacked_matrix(self):
