@@ -242,7 +242,7 @@ class ReducedModel:
         self.w2 = np.asarray(w2, dtype=float)
 
     @classmethod
-    def init(cls, task: ReducedTask, seed: int) -> "ReducedModel":
+    def init(cls, seed: int) -> "ReducedModel":
         rng = np.random.default_rng(seed)
         w1 = rng.standard_normal((HIDDEN_DIM, PROJECTED_DIM))
         w2 = rng.standard_normal((N_CLASSES, HIDDEN_DIM))
@@ -329,7 +329,7 @@ def train_reduced(task: ReducedTask, mode: str, dataset: ReducedDataset,
         raise ValueError(f"unknown mode {mode!r}")
     alpha = MODE_ALPHA[mode]
     rng = np.random.default_rng(seed)
-    model = ReducedModel.init(task, seed)
+    model = ReducedModel.init(seed)
     eval_idx = rng.permutation(len(dataset))[: task.eval_size]
     eval_set = ReducedDataset(dataset.features[eval_idx],
                               dataset.labels[eval_idx], dataset.metadata)

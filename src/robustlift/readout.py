@@ -8,10 +8,10 @@ conditional block, and budgets are planned backwards from the requested
 terminal accuracy.
 
 `run_pipeline_certificate` drives the whole chain on one instance and
-reports every hypothesis and inequality with measured values: its probe
-and its final phase each lift and stack their window with
-`horizon.lift_window`, then solve it.  Failed hypotheses are flagged in
-the result, never raised.
+reports every hypothesis and inequality with measured values.  Its probe
+reads beta0 and the terminal weight off the probe trajectory in closed
+form; only its final phase lifts and stacks, with `horizon.lift_window`,
+and solves.  Failed hypotheses are flagged in the result, never raised.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 DEGENERATE_WEIGHT = 1e-300
 
 # probe phase of `run_pipeline_certificate`: coarse surrogate accuracies,
-# the probe lift's cutoff, and the margins the plan adds to what it measured
+# the lift order it measures at, and the margins the plan adds to those
 _PROBE_DELTAS = (1e-3, 1e-3)
 _N_PROBE = 4
 _RHO_MARGIN = 0.05
@@ -347,14 +347,14 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
                              seed: int = 0) -> Certificate:
     """Design, lift, solve and read out one instance; report everything.
 
-    Probe phase measures contractivity, state radius and terminal weight
-    with coarse surrogates; the plan allocates budgets from those with
-    margins; the final phase re-measures everything and verifies each
-    inequality.  Hypothesis failures mark the certificate, they do not
-    raise.  Each phase asks the instance for surrogates, trajectory and
-    coordinates; each distinct surrogate pair is expanded once, as the
-    final phase reuses the probe's expansion when the instance hands it
-    the probe's own surrogates (fixed ones, or none at all).
+    Probe phase measures contractivity, state radius, beta0 and terminal
+    weight with coarse surrogates, the last two in closed form; the plan
+    allocates budgets from those with margins; the final phase re-measures
+    everything, lifting once, and verifies each inequality.  Hypothesis
+    failures mark the certificate, they do not raise.  Each distinct
+    surrogate pair is expanded once: the final phase reuses the probe's
+    expansion when the instance hands it the probe's own surrogates
+    (fixed ones, or none at all).
     """
     if n_max < 2:
         raise ValueError("the cutoff search needs n_max >= 2")
@@ -371,14 +371,13 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
     probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
     probe_major = carleman.majorant_and_contractivity(probe_coeffs, _N_PROBE)
-    _, probe_system = horizon.lift_window(probe_coeffs, _N_PROBE, dev_probe[0],
-                                          t_window, probe_major.rho)
-    stacked_probe = solver.solve_forward(probe_system).stacked
-    beta0_probe = float(np.linalg.norm(probe_system.rhs[:probe_system.block_dim]))
-    unit_probe = stacked_probe / np.linalg.norm(stacked_probe)
-    probe_term = extract_terminal(unit_probe, m, n, probe_system.block_dim,
-                                  t_window)
-    p_star = _P_STAR_FRACTION * probe_term.p_term
+    # the probe lift's beta0 and terminal weight, unbuilt: ||v^(x)j|| = ||v||^j
+    sq = np.einsum("ij,ij->i", dev_probe, dev_probe)
+    lifted = sum(sq ** j for j in range(1, _N_PROBE + 1))  # ||lift(v_t)||^2
+    beta0_probe = math.sqrt(lifted[0])
+    u_probe = dev_probe[t_window][m:]  # all-zero window: weight 0, beta0 0
+    p_star = _P_STAR_FRACTION * (float(u_probe @ u_probe)
+                                 / max(float(lifted.sum()), DEGENERATE_WEIGHT))
 
     # ---- plan
     rho_plan = min(probe_major.rho + _RHO_MARGIN, 0.995)

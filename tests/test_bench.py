@@ -143,12 +143,11 @@ class TestDataPath:
 
 class TestModelAndAttack:
     def test_parameter_count_is_sixty(self):
-        model = ReducedModel.init(ReducedTask(), seed=0)
+        model = ReducedModel.init(seed=0)
         assert model.param_count == 60
 
     def test_gradients_match_finite_differences(self, dataset):
-        task = small_task()
-        model = ReducedModel.init(task, seed=2)
+        model = ReducedModel.init(seed=2)
         x, y = dataset.features[:8], dataset.labels[:8]
         loss, g_w1, g_w2, g_x = model.loss_and_grads(x, y,
                                                      want_input_grad=True)
@@ -168,13 +167,13 @@ class TestModelAndAttack:
         assert (up - loss) / h == pytest.approx(g_x[0, 0], rel=1e-3)
 
     def test_attack_stays_in_ball(self, dataset):
-        model = ReducedModel.init(small_task(), seed=1)
+        model = ReducedModel.init(seed=1)
         delta = pgd_attack(model, dataset.features[:32], dataset.labels[:32],
                            eps=0.025, step=0.01, steps=10)
         assert np.abs(delta).max() <= 0.025 + 1e-15
 
     def test_attack_does_not_decrease_loss(self, dataset):
-        model = ReducedModel.init(small_task(), seed=1)
+        model = ReducedModel.init(seed=1)
         x, y = dataset.features[:64], dataset.labels[:64]
         clean, _, _, _ = model.loss_and_grads(x, y)
         delta = pgd_attack(model, x, y, eps=0.025, step=0.01, steps=10)
@@ -182,7 +181,7 @@ class TestModelAndAttack:
         assert attacked >= clean - 1e-12
 
     def test_zero_budget_matches_clean(self, dataset):
-        model = ReducedModel.init(small_task(), seed=3)
+        model = ReducedModel.init(seed=3)
         eval_set = ReducedDataset(dataset.features[:100],
                                   dataset.labels[:100], dataset.metadata)
         clean = model.accuracy(eval_set.features, eval_set.labels)

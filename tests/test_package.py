@@ -71,6 +71,7 @@ _REMOVED_PARAMETERS = {
         "projected_dim",   # PROJECTED_DIM
         "n_classes",       # N_CLASSES
         "hidden_dim"),     # HIDDEN_DIM
+    ("bench", "ReducedModel.init"): ("task",),  # unread
     ("bench", "load_mnist_reduced"): (
         "digits",          # DIGITS
         "out_side",        # POOLED_SIDE

@@ -11,8 +11,9 @@ from scipy import sparse
 
 import robustlift.readout
 from robustlift import horizon
-from robustlift.carleman import LiftedStep, build_lifted_step, lift_state
-from robustlift.dynamics import PolynomialMapCoeffs
+from robustlift.carleman import (LiftedStep, build_lifted_step, lift_state,
+                                 majorant_and_contractivity)
+from robustlift.dynamics import AffineGradient, CoupledState, PolynomialMapCoeffs
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
     CertifyInstance,
@@ -22,6 +23,9 @@ from robustlift.instances import (
     random_coeff_map,
 )
 from robustlift.readout import (
+    _N_PROBE,
+    _P_STAR_FRACTION,
+    _PROBE_DELTAS,
     BudgetLine,
     InfeasibleBudgetError,
     PlanInputs,
@@ -31,6 +35,7 @@ from robustlift.readout import (
     run_pipeline_certificate,
     terminal_error_bound,
 )
+from robustlift.solver import solve_forward
 
 RNG = np.random.default_rng(53)
 
@@ -190,6 +195,18 @@ class TestPipelineCertificate:
         assert cert.budget.eps_ro == 0.0
         assert len(cert.verification) == 7
 
+    def test_zero_weight_window_is_refused(self):
+        # the centre is a fixed point and the start sits on it, so the
+        # scaled trajectory is all zero: the plan refuses its zero beta0
+        inst = certify_instance(50)
+        g = inst.grads
+        inst.grads = AffineGradient(g.a_delta, g.b_delta, g.a_u, [-0.01])
+        inst.v0 = CoupledState(np.array([0.02]), np.array([0.0]))
+        assert not inst.deviations(inst.exact_states()).any()
+        with pytest.raises(InfeasibleBudgetError,
+                           match="initial lift carries no weight"):
+            run_pipeline_certificate(inst, 0.05)
+
     def test_zero_window_flags_contractivity(self):
         # empty learner schedule leaves the linear part at norm one; the
         # pipeline must flag H1 and still read out the initial block
@@ -303,8 +320,9 @@ class TestPipelineCertificate:
         assert calls[1][0] is designed[1][0] and calls[1][1] is designed[1][1]
 
     def test_one_operator_norm_per_degree_of_the_map(self, monkeypatch):
-        # the probe, the cutoff loop and the final phase share one step map,
-        # which computes its norm series once: one call per nonempty degree
+        # the probe's majorant, the cutoff loop and the final lift share one
+        # step map, which computes its norm series once: one call per
+        # nonempty degree
         calls = []
         norm = PolynomialMapCoeffs.operator_norm
 
@@ -317,9 +335,8 @@ class TestPipelineCertificate:
         assert len(calls) == len(set(calls)) == 16
 
     def test_one_q_matrix_per_degree_of_the_map(self, monkeypatch):
-        # the probe, the cutoff loop and the final phase lift one step map;
-        # their lifts ask it for a Q_l 11 times in all, and each of its
-        # six Q_l is placed once
+        # the final phase is the one lift of the step map; it asks the map
+        # for each of its six Q_l once, and each is placed once
         calls = []
         place = PolynomialMapCoeffs._place
 
@@ -330,6 +347,22 @@ class TestPipelineCertificate:
         monkeypatch.setattr(PolynomialMapCoeffs, "_place", counted)
         run_pipeline_certificate(folded_demo_instance(6), 0.3, mode="state")
         assert len(calls) == len(set(calls)) == 6
+
+    @pytest.mark.parametrize("make, mode", [
+        (certify_instance, "terminal"), (folded_demo_instance, "state")])
+    def test_one_lift_per_certificate(self, monkeypatch, make, mode):
+        # the probe reads its weights in closed form; only the final
+        # phase lifts the step map
+        calls = []
+        build = horizon.build_lifted_step
+
+        def counted(coeffs, n_levels):
+            calls.append(n_levels)
+            return build(coeffs, n_levels)
+
+        monkeypatch.setattr(horizon, "build_lifted_step", counted)
+        cert = run_pipeline_certificate(make(), 0.3, mode=mode)
+        assert calls == [cert.n_levels]
 
     def test_one_stacked_csr_per_certificate(self, monkeypatch):
         # the dense SVD and the H3 spot check share the unnormalized CSR
@@ -346,8 +379,96 @@ class TestPipelineCertificate:
         assert calls == [cert.measurements["dim"]]
 
 
+def _probe_trajectory(inst):
+    p_s, p_c = inst.design_polys(*_PROBE_DELTAS)
+    return p_s, p_c, inst.deviations(inst.model_states(p_s, p_c))
+
+
+def _weights_of_lift(inst):
+    """beta0 and p_term of the stacked exact lifts of the probe trajectory."""
+    dev = _probe_trajectory(inst)[2]
+    lifts = np.stack([lift_state(v, _N_PROBE) for v in dev])
+    term = extract_terminal(lifts.ravel() / np.linalg.norm(lifts),
+                            inst.grads.m, inst.grads.n, lifts.shape[1],
+                            inst.sched.t_window)
+    return float(np.linalg.norm(lifts[0])), term.p_term
+
+
+def _weights_by_recurrence(inst):
+    """The same two numbers as the probe once took them: lift the step map,
+    stack the window, forward-solve it and read the terminal block."""
+    p_s, p_c, dev = _probe_trajectory(inst)
+    coeffs = inst.build_expansion(p_s, p_c)
+    rho = majorant_and_contractivity(coeffs, _N_PROBE).rho
+    _, system = horizon.lift_window(coeffs, _N_PROBE, dev[0],
+                                    inst.sched.t_window, rho)
+    stacked = solve_forward(system).stacked
+    term = extract_terminal(stacked / np.linalg.norm(stacked), inst.grads.m,
+                            inst.grads.n, system.block_dim, inst.sched.t_window)
+    return float(np.linalg.norm(system.rhs[:system.block_dim])), term.p_term
+
+
+class TestProbeClosedForm:
+    # the recurrence route truncates the lift at N levels: exact for the
+    # affine toy, off by the truncation error for the folded step
+    @pytest.mark.parametrize("make, eps_out, mode, rel_recurrence", [
+        (certify_instance, 0.05, "terminal", 1e-15),
+        (folded_demo_instance, 0.3, "state", 1e-7)])
+    def test_probe_weights_are_the_exact_lift(self, make, eps_out, mode,
+                                              rel_recurrence):
+        inst = make()
+        hyp = run_pipeline_certificate(inst, eps_out, mode=mode).hypotheses
+        got = (hyp["H4_initial_weight"]["probe_value"],
+               hyp["H5_terminal_weight"]["p_star"] / _P_STAR_FRACTION)
+        assert got == pytest.approx(_weights_of_lift(inst), rel=1e-14)
+        assert got == pytest.approx(_weights_by_recurrence(inst),
+                                    rel=rel_recurrence)
+
+    def test_dense_windows_certify_under_two_gigabytes(self, pinned_child):
+        # an N = 4 probe lift of these windows runs out of a 2 GB address
+        # space (MemoryError); the closed form needs no probe lift
+        out = json.loads(pinned_child(_DENSE_SCRIPT))
+        assert set(out) == {"2,10", "1,15"}
+        for passed, flagged in out.values():
+            assert passed or flagged
+
+
+# the saturated toy widened to n dense parameters: H_uu = 3 I + 0.1 / n off
+# the diagonal and u scaled by 1.5 / sqrt(n), certified under RLIMIT_AS
+_DENSE_SCRIPT = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from robustlift.dynamics import AffineGradient, CoupledState, StepSchedule
+from robustlift.instances import CertifyInstance
+from robustlift.readout import run_pipeline_certificate
+out = {}
+for m, n in ((2, 10), (1, 15)):
+    eps = 0.02
+    h_uu = np.full((n, n), 0.1 / n) + (3.0 - 0.1 / n) * np.eye(n)
+    inst = CertifyInstance(
+        sched=StepSchedule.uniform(50, eps_ball=eps, eta_delta=0.04,
+                                   eta_u=0.1, alpha=1.0),
+        grads=AffineGradient(
+            a_delta=np.hstack([0.3 * np.eye(m), np.zeros((m, n))]),
+            b_delta=np.ones(m),
+            a_u=np.hstack([np.full((n, m), 0.5 / m), h_uu]),
+            b_u=np.full(n, -0.55)),
+        v0=CoupledState(np.full(m, eps), np.full(n, 0.199)),
+        center=np.concatenate([np.full(m, eps), np.zeros(n)]),
+        scale=np.concatenate([np.full(m, 45.0), np.full(n, 1.5 / n**0.5)]),
+        tau_s=0.7, tau_c=0.8, big_l=6.0, lam=1.25)
+    cert = run_pipeline_certificate(inst, 0.05)
+    out[f"{m},{n}"] = [cert.passed, [name for name, h in cert.hypotheses.items()
+                                     if not h["pass"]]]
+print(json.dumps(out))
+"""
+
+
 # to_json() of three certificates as the code emitted them before the
 # fold was made single-pass; every later change must keep their bytes.
+# p_star alone was recaptured when the probe took its terminal weight from
+# the exact lift of its trajectory instead of the N = 4 recurrence.
 # The files were written, and are recomputed, by a child process with
 # every BLAS pool at one thread (see `pinned_child`).
 _ORACLE = Path(__file__).parent / "data"
