@@ -25,7 +25,13 @@ from robustlift.horizon import (
     save_matrix_market,
     sparsity_bounds,
 )
+from robustlift.instances import (
+    certify_instance,
+    folded_demo_instance,
+    random_contractive,
+)
 from robustlift.multipoly import MultiPoly
+from robustlift.readout import run_pipeline_certificate
 
 RNG = np.random.default_rng(37)
 
@@ -329,11 +335,12 @@ class TestConditioning:
         assert rep.measured_norm <= rep.norm_bound + 1e-10
         assert rep.measured_kappa <= rep.kappa_bound + 1e-8
 
-    def test_dense_limit_skips_svd(self, monkeypatch):
+    def test_iteration_cap_reports_none(self, monkeypatch):
         _, _, system = toy_system(t_window=8)
-        monkeypatch.setattr(horizon_module, "DENSE_SVD_LIMIT", 10)
+        monkeypatch.setattr(horizon_module, "_LANCZOS_MAX_ITER", 1)
         rep = condition_bounds(system.rho, 8, system=system)
-        assert rep.measured_kappa is None
+        assert rep.measured_kappa is None and rep.measured_norm is None
+        assert rep.kappa_bound == condition_bounds(system.rho, 8).kappa_bound
 
     def test_geometric_bound_tracks_window(self):
         short = condition_bounds(0.9, 2)
@@ -343,6 +350,54 @@ class TestConditioning:
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
             condition_bounds(-0.1, 5)
+
+
+def _dense_svd_check(system, rho):
+    rep = condition_bounds(rho, system.t_window, system=system)
+    svals = np.linalg.svd(system.matrix.toarray(), compute_uv=False)
+    assert rep.measured_norm == pytest.approx(svals[0], rel=1e-9)
+    assert rep.measured_kappa == pytest.approx(svals[0] / svals[-1], rel=1e-9)
+
+
+class TestLanczosAgainstDenseSvd:
+    def test_random_contractive_windows(self):
+        # built like the corpus of acceptance criterion 04, on other draws
+        rng = np.random.default_rng(4004)
+        for _ in range(24):
+            rs = random_contractive(rng, rho_target=0.8)
+            step = build_lifted_step(rs.coeffs, rs.n_levels)
+            system = assemble_horizon([step] * rs.t_window,
+                                      lift_state(rs.v0, rs.n_levels), rs.rho)
+            _dense_svd_check(system, rs.rho)
+
+    @pytest.mark.parametrize("make, eps_out, mode", [
+        (certify_instance, 0.05, "terminal"),
+        (folded_demo_instance, 0.3, "state")])
+    def test_shipped_windows(self, monkeypatch, make, eps_out, mode):
+        seen = []
+        measure = horizon_module.condition_bounds
+
+        def kept(rho, t_window, system=None):
+            seen.append((system, rho))
+            return measure(rho, t_window, system)
+
+        monkeypatch.setattr(horizon_module, "condition_bounds", kept)
+        run_pipeline_certificate(make(), eps_out, mode=mode)
+        (system, rho), = seen
+        _dense_svd_check(system, rho)
+
+    def test_identity_window(self):
+        # T = 0: M is the identity and the first Lanczos step is exact
+        system = assemble_horizon([], np.ones(4), 0.5, dims=(4, 1))
+        rep = condition_bounds(0.5, 0, system=system)
+        assert (rep.measured_norm, rep.measured_kappa) == (1.0, 1.0)
+
+    def test_long_saturated_toy_window_is_measured(self):
+        # dim 2406: kappa is measured however long the window is
+        meas = run_pipeline_certificate(certify_instance(400), 0.05).measurements
+        assert meas["dim"] == 2406
+        assert meas["kappa_measured"] is not None
+        assert meas["kappa_measured"] <= meas["kappa_bound"]
 
 
 class TestSerialization:

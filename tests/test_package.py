@@ -64,7 +64,7 @@ _REMOVED_PARAMETERS = {
     ("carleman", "lift_state"): ("dim_cap",),  # DEFAULT_DIM_CAP
     ("carleman", "build_lifted_step"): ("dim_cap",),
     ("carleman", "run_truncated_recurrence"): ("dim_cap",),
-    ("horizon", "condition_bounds"): ("dense_limit",),  # DENSE_SVD_LIMIT
+    ("horizon", "condition_bounds"): ("dense_limit",),  # gate of the removed dense SVD
     ("horizon", "save_matrix_market"): ("normalized",),
     ("bench", "ReducedTask"): (
         "feature_dim",     # unread
@@ -180,3 +180,19 @@ def test_import_leaves_optional_scipy_modules_unloaded(pinned_child):
     out = pinned_child("import sys, robustlift; "
                        "print(sorted({'scipy.special', 'scipy.io'} & set(sys.modules)))")
     assert out.strip() == "[]"
+
+
+_SHIPPED_CERTIFICATES = """
+import sys
+from robustlift import instances
+from robustlift.readout import run_pipeline_certificate
+run_pipeline_certificate(instances.certify_instance(50), 0.05)
+run_pipeline_certificate(instances.folded_demo_instance(6), 0.3, mode="state")
+print(sorted({"scipy.linalg", "scipy.sparse.linalg"} & set(sys.modules)))
+"""
+
+
+def test_certificates_leave_scipy_linalg_unloaded(pinned_child):
+    # either module costs over 0.1 s of import time, which the measured
+    # kappa (a Lanczos run in numpy) does not need
+    assert pinned_child(_SHIPPED_CERTIFICATES).strip() == "[]"

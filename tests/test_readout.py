@@ -365,7 +365,8 @@ class TestPipelineCertificate:
         assert calls == [cert.n_levels]
 
     def test_one_stacked_csr_per_certificate(self, monkeypatch):
-        # the dense SVD and the H3 spot check share the unnormalized CSR
+        # the Lanczos run behind kappa_measured and the H3 spot check
+        # share the unnormalized CSR
         calls = []
         stack = HorizonSystem._stacked_csr
 
@@ -468,7 +469,8 @@ print(json.dumps(out))
 # to_json() of three certificates as the code emitted them before the
 # fold was made single-pass; every later change must keep their bytes.
 # p_star alone was recaptured when the probe took its terminal weight from
-# the exact lift of its trajectory instead of the N = 4 recurrence.
+# the exact lift of its trajectory instead of the N = 4 recurrence, and
+# kappa_measured alone when a Lanczos run on M^T M replaced the dense SVD.
 # The files were written, and are recomputed, by a child process with
 # every BLAS pool at one thread (see `pinned_child`).
 _ORACLE = Path(__file__).parent / "data"
@@ -522,6 +524,18 @@ class TestCertificateOracle:
         if got != want:
             where = _first_difference(json.loads(got), json.loads(want))
             pytest.fail(f"{name}: certificate differs first at {where or 'formatting'}")
+
+    def test_bytes_do_not_depend_on_blas_threads(self, pinned_child):
+        # kappa_measured comes from a Lanczos run whose arithmetic does not
+        # depend on the BLAS pools, so one and two threads give one document
+        cases = dict(_ORACLE_CASES, saturated_toy_T200=(
+            "certify_instance", 200, 0.05, "terminal"))
+        one, two = (json.loads(pinned_child(_ORACLE_SCRIPT, json.dumps(cases),
+                                            threads=n)) for n in (1, 2))
+        assert set(one) == set(cases)
+        assert one == two
+        assert json.loads(one["saturated_toy_T200"])["measurements"][
+            "kappa_measured"] is not None
 
     def test_first_difference_names_the_key(self):
         want = {"a": 1, "b": {"c": [1.0, 2.0], "d": "x"}}
