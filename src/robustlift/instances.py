@@ -17,7 +17,8 @@ the lifted model in the exact regime (degree one, empty discarded
 levels) while the reference trajectory is still the genuine sign-and-
 clamp iteration.  `exact_regime_margins` measures how far the run sits
 from the regime boundary; the margins are part of the design, not an
-assumption.
+assumption; a window that misses them has no bound on its model error.
+The affine step reaches the lift in closed form, with no exponent grid.
 
 Random families feed the oracle and bound tests: coefficient maps drawn
 at controlled norms and rescaled until the majorant certifies the
@@ -36,7 +37,6 @@ import numpy as np
 from .dynamics import (
     AffineGradient,
     CoupledState,
-    MultiPoly,
     PolynomialMapCoeffs,
     StepMonitor,
     StepSchedule,
@@ -146,34 +146,32 @@ class CertifyInstance(_Window):
         return {"sign_margin": sign_margin, "clamp_margin": clamp_margin,
                 "ok": sign_margin > 0.0 and clamp_margin >= 0.0}
 
-    def realized_affine_polys(self) -> list[MultiPoly]:
-        """The outer step on the saturated tube, coordinate by coordinate.
+    def build_expansion(self, p_s, p_c) -> PolynomialMapCoeffs:
+        """The realized step v+ = A v + b in y = S (v - c), in closed form.
 
-        delta+ is the constant eps_ball vector; u+ = u - eta_u g_u(eps, u).
-        Valid precisely where exact_regime_margins reports ok.
+        A has zero delta rows and u block I - eta A_uu; b_delta = eps_ball and
+        b_u = -eta (A_udelta eps + b_u).  Then y+ = S A S^-1 y + S (A c + b - c)
+        gives Q_1 and Q_0.  Valid precisely where exact_regime_margins is ok.
         """
         sched, grads = self.sched, self.grads
-        m, n, d = grads.m, grads.n, grads.d
-        eps = sched.eps_ball
-        # empty window: the step map is never applied, any rate serves
-        eta = float(sched.eta_u[0]) if sched.eta_u.size else 0.0
-        polys = [MultiPoly.affine(d, np.zeros(d), eps) for _ in range(m)]
-        dplus = np.full(m, eps)
-        for i in range(n):
-            lin = np.zeros(d)
-            lin[m + i] = 1.0
-            lin[m:] -= eta * grads.a_u[i, m:]
-            const = -eta * (grads.a_u[i, :m] @ dplus + grads.b_u[i])
-            polys.append(MultiPoly.affine(d, lin, const))
-        return polys
-
-    def build_expansion(self, p_s, p_c) -> PolynomialMapCoeffs:
-        eta_u = self.sched.eta_u
+        m, d, eta_u = grads.m, grads.d, sched.eta_u
         if eta_u.size and not np.allclose(eta_u, eta_u[0]):
             raise ValueError("the realized step assumes a uniform learner rate")
-        polys = recentre_polys(self.realized_affine_polys(), self.center,
-                               self.scale)
-        return PolynomialMapCoeffs.from_coordinate_polys(polys)
+        # empty window: the step map is never applied, any rate serves
+        eta = float(eta_u[0]) if eta_u.size else 0.0
+        a = np.zeros((d, d))
+        a[m:, m:] = np.eye(grads.n) - eta * grads.a_u[:, m:]
+        b = np.full(d, sched.eps_ball)
+        b[m:] = -eta * (np.add.reduce(grads.a_u[:, :m] * sched.eps_ball,
+                                      axis=1) + grads.b_u)
+        s, c = self.scale, self.center
+        # no BLAS call, so no bit depends on its threads; + 0.0 clears -0.0
+        q1 = a * (1.0 / s) * s[:, None]
+        q0 = (b + np.add.reduce(a * c, axis=1) - c) * s + 0.0
+        return PolynomialMapCoeffs(d, {
+            0: {(0,) * d: q0} if q0.any() else {},
+            1: {tuple(int(i == j) for i in range(d)): q1[:, j]
+                for j in range(d) if q1[:, j].any()}})
 
 
 def certify_instance(t_window: int = 50) -> CertifyInstance:

@@ -461,7 +461,8 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
             float(scale[0]), float(scale[m]))
     else:
         d_s = d_c = None
-        eps_base = 0.0
+        # the realized affine step is the exact one on the saturated tube only
+        eps_base = 0.0 if instance.exact_regime_margins()["ok"] else math.inf
     amp = math.sqrt(t_window + 1) / (1.0 - major.rho) if major.h1_pass else math.inf
     raw_hor = tail.gamma_n + l_lift * eps_base
     eps_hor_bound = amp * raw_hor if raw_hor > 0 else (0.0 if major.h1_pass

@@ -34,3 +34,39 @@ def pinned_child():
         return done.stdout
 
     return run
+
+
+def _saturated_window(m, n, t_window, coupling):
+    """The saturated toy widened to m perturbations and n parameters.
+
+    H_uu is 3 I plus 0.1 / n everywhere off the diagonal ("dense") or
+    0.05 on the two neighbours ("banded"), and u is scaled by 1.5 / sqrt(n).
+    Self-contained, so a child process can run its source.
+    """
+    import numpy as np
+    from robustlift.dynamics import AffineGradient, CoupledState, StepSchedule
+    from robustlift.instances import CertifyInstance
+
+    eps = 0.02
+    if coupling == "dense":
+        h_uu = np.full((n, n), 0.1 / n) + (3.0 - 0.1 / n) * np.eye(n)
+    else:
+        h_uu = 3.0 * np.eye(n) + 0.05 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return CertifyInstance(
+        sched=StepSchedule.uniform(t_window, eps_ball=eps, eta_delta=0.04,
+                                   eta_u=0.1, alpha=1.0),
+        grads=AffineGradient(
+            a_delta=np.hstack([0.3 * np.eye(m), np.zeros((m, n))]),
+            b_delta=np.ones(m),
+            a_u=np.hstack([np.full((n, m), 0.5 / m), h_uu]),
+            b_u=np.full(n, -0.55)),
+        v0=CoupledState(np.full(m, eps), np.full(n, 0.199)),
+        center=np.concatenate([np.full(m, eps), np.zeros(n)]),
+        scale=np.concatenate([np.full(m, 45.0), np.full(n, 1.5 / n**0.5)]),
+        tau_s=0.7, tau_c=0.8, big_l=6.0, lam=1.25)
+
+
+@pytest.fixture(scope="session")
+def saturated_window():
+    """`_saturated_window`; `inspect.getsource` of it runs in a child."""
+    return _saturated_window

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from robustlift.instances import (
     random_coeff_map,
     random_contractive,
 )
+from robustlift.multipoly import MultiPoly
 from robustlift.readout import run_pipeline_certificate
+
+_ORACLE = Path(__file__).parent / "data"
 
 
 class TestCertifyInstance:
@@ -27,16 +31,29 @@ class TestCertifyInstance:
         assert margins["sign_margin"] > 0.5
         assert margins["clamp_margin"] >= 0.0
 
-    def test_realized_polys_match_exact_dynamics(self):
+    @pytest.mark.parametrize("make", [
+        lambda window: certify_instance(20),
+        lambda window: window(2, 10, 20, "dense"),
+        lambda window: window(2, 62, 20, "banded"),
+    ], ids=["toy", "dense-d12", "banded-d64"])
+    def test_expansion_matches_exact_dynamics(self, make, saturated_window):
         # on the saturated tube the affine map IS the outer step
-        inst = certify_instance(20)
-        polys = inst.realized_affine_polys()
-        states = inst.exact_states()
-        for t in range(20):
-            v = states[t].vector
-            image = np.array([p(v) for p in polys])
-            np.testing.assert_allclose(image, states[t + 1].vector,
+        inst = make(saturated_window)
+        assert inst.exact_regime_margins()["ok"]
+        coeffs = inst.build_expansion(None, None)
+        dev = inst.deviations(inst.exact_states())
+        for t in range(inst.sched.t_window):
+            np.testing.assert_allclose(coeffs.evaluate(dev[t]), dev[t + 1],
                                        atol=1e-14)
+
+    def test_certificate_needs_no_exponent_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the step map went back to an exponent grid")
+
+        monkeypatch.setattr(MultiPoly, "__init__", refuse)
+        cert = run_pipeline_certificate(certify_instance(50), 0.05)
+        assert cert.to_json() == (
+            _ORACLE / "saturated_toy_T50_eps0.05_terminal.json").read_text()
 
     def test_expansion_is_affine(self):
         inst = certify_instance(10)

@@ -119,11 +119,13 @@ def test_reduced_task_holds_what_the_cli_sets():
     assert fields == set_by_cli and len(fields) == 8
 
 
-# methods no pipeline called, deleted with the tests that were their only callers
+# methods no pipeline called, deleted with the tests that were their only
+# callers, and a route replaced by its closed form
 _REMOVED_NAMES = {
     "polyapprox": ("OddPolynomial.to_monomial", "OddPolynomial.load_text",
                    "_MONOMIAL_EXPORT_MAX_DEGREE"),
     "dynamics": ("PolynomialMapCoeffs.from_json",),
+    "instances": ("CertifyInstance.realized_affine_polys",),
     "multipoly": ("MultiPoly.__pow__",),
     "readout": ("_MAX_STACKED_NNZ",),  # horizon.MAX_STACKED_NNZ
 }

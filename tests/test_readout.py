@@ -1,5 +1,6 @@
 """Terminal extraction, error budgeting, and the pipeline certificate."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -13,7 +14,8 @@ import robustlift.readout
 from robustlift import horizon
 from robustlift.carleman import (LiftedStep, build_lifted_step, lift_state,
                                  majorant_and_contractivity)
-from robustlift.dynamics import AffineGradient, CoupledState, PolynomialMapCoeffs
+from robustlift.dynamics import (AffineGradient, CoupledState,
+                                 PolynomialMapCoeffs, StepSchedule)
 from robustlift.horizon import HorizonSystem, assemble_horizon
 from robustlift.instances import (
     CertifyInstance,
@@ -187,6 +189,22 @@ class TestPipelineCertificate:
         assert cert.terminal["reconstruction_error"] <= 1e-10
         assert cert.measurements["gamma_n"] == 0.0
         assert cert.measurements["eps_base_step"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["terminal", "state"])
+    def test_unsaturated_window_is_refused(self, mode):
+        # the clamp lets go of delta (margin -0.005), so the affine step is
+        # not the window's step and its model error has no bound
+        inst = replace(certify_instance(), v0=CoupledState([0.005], [0.199]),
+                       sched=StepSchedule.uniform(3, eps_ball=0.02,
+                                                  eta_delta=0.01, eta_u=0.1,
+                                                  alpha=1.0))
+        assert not inst.exact_regime_margins()["ok"]
+        cert = run_pipeline_certificate(inst, 0.05, mode=mode)
+        assert not cert.passed
+        assert cert.measurements["eps_base_step"] == math.inf
+        failing = {line.name for line in cert.verification if not line.ok}
+        assert {"per-step model error <= target", "horizon error <= share",
+                "state chain <= target"} <= failing
 
     def test_flagship_state_mode(self):
         cert = run_pipeline_certificate(certify_instance(50), 0.05,
@@ -425,43 +443,42 @@ class TestProbeClosedForm:
         assert got == pytest.approx(_weights_by_recurrence(inst),
                                     rel=rel_recurrence)
 
-    def test_dense_windows_certify_under_two_gigabytes(self, pinned_child):
-        # an N = 4 probe lift of these windows runs out of a 2 GB address
-        # space (MemoryError); the closed form needs no probe lift
-        out = json.loads(pinned_child(_DENSE_SCRIPT))
-        assert set(out) == {"2,10", "1,15"}
+    def test_dense_windows_certify_under_two_gigabytes(self, pinned_child,
+                                                       saturated_window):
+        # under 2 GB, d = 12 and 16 need the probe's closed form, d = 24 and
+        # 64 the step map's; dense d = 48 at T = 50 is past the stacked cap
+        out = json.loads(pinned_child(
+            inspect.getsource(saturated_window) + _DENSE_SCRIPT,
+            json.dumps(_DENSE_CASES)))
+        assert list(out) == [",".join(map(str, case)) for case in _DENSE_CASES]
+        error, message = out.pop("2,46,50,dense")
+        assert error == "MemoryError" and "MAX_STACKED_NNZ" in message
         for passed, flagged in out.values():
             assert passed or flagged
+        assert out["2,62,10,banded"] == out["2,22,10,dense"] == [True, []]
 
 
-# the saturated toy widened to n dense parameters: H_uu = 3 I + 0.1 / n off
-# the diagonal and u scaled by 1.5 / sqrt(n), certified under RLIMIT_AS
+# (m, n, T, coupling) of `saturated_window` runs, the last one too large
+_DENSE_CASES = [(2, 10, 50, "dense"), (1, 15, 50, "dense"),
+                (2, 62, 10, "banded"), (2, 22, 10, "dense"),
+                (2, 46, 50, "dense")]
+# runs after the source of `_saturated_window`, under RLIMIT_AS; a refusal
+# reports its error type and message
 _DENSE_SCRIPT = """
-import json, resource
+import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-import numpy as np
-from robustlift.dynamics import AffineGradient, CoupledState, StepSchedule
-from robustlift.instances import CertifyInstance
 from robustlift.readout import run_pipeline_certificate
 out = {}
-for m, n in ((2, 10), (1, 15)):
-    eps = 0.02
-    h_uu = np.full((n, n), 0.1 / n) + (3.0 - 0.1 / n) * np.eye(n)
-    inst = CertifyInstance(
-        sched=StepSchedule.uniform(50, eps_ball=eps, eta_delta=0.04,
-                                   eta_u=0.1, alpha=1.0),
-        grads=AffineGradient(
-            a_delta=np.hstack([0.3 * np.eye(m), np.zeros((m, n))]),
-            b_delta=np.ones(m),
-            a_u=np.hstack([np.full((n, m), 0.5 / m), h_uu]),
-            b_u=np.full(n, -0.55)),
-        v0=CoupledState(np.full(m, eps), np.full(n, 0.199)),
-        center=np.concatenate([np.full(m, eps), np.zeros(n)]),
-        scale=np.concatenate([np.full(m, 45.0), np.full(n, 1.5 / n**0.5)]),
-        tau_s=0.7, tau_c=0.8, big_l=6.0, lam=1.25)
-    cert = run_pipeline_certificate(inst, 0.05)
-    out[f"{m},{n}"] = [cert.passed, [name for name, h in cert.hypotheses.items()
-                                     if not h["pass"]]]
+for m, n, t_window, coupling in json.loads(sys.argv[1]):
+    key = f"{m},{n},{t_window},{coupling}"
+    try:
+        cert = run_pipeline_certificate(
+            _saturated_window(m, n, t_window, coupling), 0.05)
+    except MemoryError as err:
+        out[key] = [type(err).__name__, str(err)]
+        continue
+    out[key] = [cert.passed, [name for name, h in cert.hypotheses.items()
+                              if not h["pass"]]]
 print(json.dumps(out))
 """
 
