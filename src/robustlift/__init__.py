@@ -30,7 +30,6 @@ from .dynamics import (  # noqa: F401
     PolynomialMapCoeffs,
     exact_outer_step,
     folded_poly_step,
-    structural_step_polys,
     expand_polynomial_map,
     one_step_delta_bound,
     scaled_base_step_error_bound,

@@ -5,7 +5,10 @@ block second.  The exact step signs the attack gradient, clamps to the
 ball, then descends the learner gradient at the updated perturbation.
 The surrogate step replaces sign and clamp by certified odd polynomials
 and the gradients by polynomial models, which makes the whole update one
-polynomial map v -> sum_l Q_l v^(x l).
+polynomial map v -> sum_l Q_l v^(x l).  That step is written once: run on
+real points it gives trajectories, on complex grids the FFT expansion,
+and on an object array of `MultiPoly` coordinates the map's coordinate
+polynomials.
 
 Coefficient tensors use symmetric placement: a monomial's coefficient is
 spread equally over all ordered index words with that exponent content.
@@ -27,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy import sparse
 
-from .multipoly import MultiPoly, ring_chebval
+from .multipoly import MultiPoly
 from .polyapprox import OddPolynomial
 
 __all__ = [
@@ -39,8 +42,6 @@ __all__ = [
     "exact_outer_step",
     "folded_poly_step",
     "folded_step_closure",
-    "structural_step_polys",
-    "recentre_polys",
     "PolynomialMapCoeffs",
     "DegreeOverflowError",
     "expand_polynomial_map",
@@ -170,14 +171,6 @@ class AffineGradient:
         block = self.a_u[:, : self.m]
         return float(np.linalg.norm(block, 2)) if block.size else 0.0
 
-    def delta_polys(self) -> list[MultiPoly]:
-        return [MultiPoly.affine(self.d, self.a_delta[i], float(self.b_delta[i]))
-                for i in range(self.m)]
-
-    def u_polys(self) -> list[MultiPoly]:
-        return [MultiPoly.affine(self.d, self.a_u[i], float(self.b_u[i]))
-                for i in range(self.n)]
-
 
 class PolynomialGradient:
     """Degree-q polynomial gradient surrogates with declared error bounds."""
@@ -209,12 +202,6 @@ class PolynomialGradient:
 
     def exact_g_u(self, v):
         return self._exact_g_u(v) if self._exact_g_u else self.g_u(v)
-
-    def delta_polys(self) -> list[MultiPoly]:
-        return list(self._delta_polys)
-
-    def u_polys(self) -> list[MultiPoly]:
-        return list(self._u_polys)
 
 
 def exact_outer_step(v: CoupledState, t: int, sched: StepSchedule,
@@ -317,41 +304,17 @@ def folded_poly_step(v: CoupledState, t: int, sched: StepSchedule, grads,
 def folded_step_closure(t: int, sched: StepSchedule, grads,
                         p_s: OddPolynomial, p_c: OddPolynomial,
                         monitor: StepMonitor | None = None):
-    """Vectorized (and complex-capable) map over points of shape (..., d)."""
+    """Vectorized (and complex-capable) map over points of shape (..., d).
+
+    It also takes a (d,) object array of `MultiPoly` coordinates, without
+    a monitor, and then returns the step's coordinate polynomials in them.
+    """
 
     def step(points):
         return _folded_vector_step(np.asarray(points), grads.m, t, sched,
                                    grads, p_s, p_c, monitor)
 
     return step
-
-
-def structural_step_polys(t: int, sched: StepSchedule, grads,
-                          p_s: OddPolynomial, p_c: OddPolynomial) -> list[MultiPoly]:
-    """Coordinate polynomials of the surrogate step by symbolic composition."""
-    d, m = grads.d, grads.m
-    g_polys = grads.delta_polys()
-    d_plus: list[MultiPoly] = []
-    for i in range(m):
-        w = g_polys[i] * (1.0 / sched.alpha[t])
-        signed = ring_chebval(w * (1.0 / p_s.halfwidth), np.asarray(p_s.full_coeffs()))
-        z = (MultiPoly.variable(d, i) + signed * sched.eta_delta[t]) * (1.0 / sched.eps_ball)
-        d_plus.append(ring_chebval(z * (1.0 / p_c.halfwidth),
-                                   np.asarray(p_c.full_coeffs())) * sched.eps_ball)
-    inner = d_plus + [MultiPoly.variable(d, m + j) for j in range(grads.n)]
-    u_plus = [MultiPoly.variable(d, m + j) - gu.substitute(inner) * sched.eta_u[t]
-              for j, gu in enumerate(grads.u_polys())]
-    return d_plus + u_plus
-
-
-def recentre_polys(polys: list[MultiPoly], center: np.ndarray,
-                   scale: np.ndarray) -> list[MultiPoly]:
-    """Conjugate a polynomial map by v = center + S^{-1} v~ (S diagonal)."""
-    center = np.asarray(center, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    d = len(center)
-    args = [MultiPoly.variable(d, i) * (1.0 / scale[i]) + center[i] for i in range(d)]
-    return [(p.substitute(args) - center[i]) * scale[i] for i, p in enumerate(polys)]
 
 
 # ----------------------------------------------------------------------

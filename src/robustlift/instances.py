@@ -19,6 +19,8 @@ clamp iteration.  `exact_regime_margins` measures how far the run sits
 from the regime boundary; the margins are part of the design, not an
 assumption; a window that misses them has no bound on its model error.
 The affine step reaches the lift in closed form, with no exponent grid.
+The folded step reaches it through its own step closure, run on MultiPoly
+coordinates c + y / S, so the surrogate step has one definition.
 
 Random families feed the oracle and bound tests: coefficient maps drawn
 at controlled norms and rescaled until the majorant certifies the
@@ -42,9 +44,9 @@ from .dynamics import (
     StepSchedule,
     exact_outer_step,
     folded_poly_step,
-    recentre_polys,
-    structural_step_polys,
+    folded_step_closure,
 )
+from .multipoly import MultiPoly
 from .polyapprox import (ClipSpec, OddPolynomial, SignSpec, clip_checks,
                          design_clip_poly, design_sign_poly, sign_checks,
                          verify_poly_spec)
@@ -62,7 +64,8 @@ __all__ = [
 # accuracies that fixed surrogates are certified at, whatever a caller budgets
 _DECLARED_DELTA_S = 0.05
 _DECLARED_DELTA_C = 0.05
-# highest folded step degree that is expanded symbolically
+# highest degree bound q^2 K_s K_c of a folded step that is composed on
+# MultiPoly coordinates
 _MAX_EXPAND_DEGREE = 60
 # random families: the norms `random_coeff_map` gives degrees 0, 1 and
 # l >= 2 (divided by l!), and the largest d, degree, N and T that
@@ -252,12 +255,18 @@ class FoldedInstance(_Window):
         for rates in (sched.eta_delta, sched.eta_u, sched.alpha):
             if rates.size and not np.allclose(rates, rates[0]):
                 raise ValueError("the folded step assumes a uniform schedule")
-        polys = structural_step_polys(0, self.sched, self.grads, p_s, p_c)
-        polys = recentre_polys(polys, self.center, self.scale)
-        coeffs = PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-14)
-        if coeffs.degree > _MAX_EXPAND_DEGREE:
+        # refused from the degree bound before any composition: the
+        # composed grids grow with it, whatever the trimmed degree
+        if self.grads.q ** 2 * p_s.degree * p_c.degree > _MAX_EXPAND_DEGREE:
             raise ValueError("surrogate degrees too high for direct expansion")
-        return coeffs
+        # the step itself, run on coordinates v = c + y / S, then mapped
+        # back to y+ = S (v+ - c)
+        c, s = self.center, self.scale
+        coords = np.array([MultiPoly.variable(len(c), i) * (1.0 / s[i]) + c[i]
+                           for i in range(len(c))], dtype=object)
+        out = folded_step_closure(0, sched, self.grads, p_s, p_c)(coords)
+        return PolynomialMapCoeffs.from_coordinate_polys(
+            [(p - c[i]) * s[i] for i, p in enumerate(out)], tol=1e-14)
 
 
 def folded_demo_instance(t_window: int = 6) -> FoldedInstance:

@@ -117,11 +117,9 @@ class ResourceModel:
     c_query: float = 1.0
     c_gate: float = 1.0
     c_sparse_access: float = 1.0
-    c_prep: float | None = None
     a_ancilla: int = 10
     polylog_power: float = 1.0
     qram: bool = False
-    c_prep_qram: float = 1.0
 
     def __post_init__(self) -> None:
         if min(self.s_row, self.kappa, self.dim) <= 0 or not (0 < self.eps_ls < 1):
@@ -164,16 +162,13 @@ def qlsa_estimate(model: ResourceModel) -> ResourceEstimate:
     queries = c_q * s * kappa * log2(dim/eps)^p, gates add the sparse
     access cost per query plus one state preparation, qubits count the
     address register plus clamped logs of kappa and 1/eps plus ancillas.
-    Without qRAM the preparation defaults to a linear pass over the
-    right hand side (c_prep = dim); with qRAM it is polylogarithmic.
+    Without qRAM the preparation is a linear pass over the right hand
+    side (dim gates); with qRAM it is polylogarithmic (log2(dim)^p).
     """
     p = model.polylog_power
     polylog = _clamped_log2(model.dim / model.eps_ls) ** p
     queries = model.c_query * model.s_row * model.kappa * polylog
-    if model.qram:
-        prep = model.c_prep_qram * _clamped_log2(model.dim) ** p
-    else:
-        prep = model.c_prep if model.c_prep is not None else float(model.dim)
+    prep = _clamped_log2(model.dim) ** p if model.qram else float(model.dim)
     gates = model.c_gate * (prep + model.s_row * model.kappa
                             * model.c_sparse_access * polylog)
     qubits = (math.ceil(math.log2(max(model.dim, 2.0)))
@@ -184,8 +179,7 @@ def qlsa_estimate(model: ResourceModel) -> ResourceEstimate:
         "queries": "c_query * s_row * kappa * log2(dim/eps_ls)^p",
         "gates": "c_gate * (prep + s_row * kappa * c_sparse_access"
                  " * log2(dim/eps_ls)^p)",
-        "prep": ("c_prep_qram * log2(dim)^p" if model.qram
-                 else "c_prep (explicit; defaults to dim)"),
+        "prep": "log2(dim)^p (qram)" if model.qram else "dim",
         "qubits": "ceil(log2 dim) + ceil(log2 kappa) + ceil(log2 1/eps_ls)"
                   " + a_ancilla",
     }

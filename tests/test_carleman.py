@@ -35,7 +35,7 @@ RNG = np.random.default_rng(23)
 def scalar_map(*mono_coeffs):
     """d=1 map from monomial coefficients (c1, c2, ...)."""
     x = MultiPoly.variable(1, 0)
-    acc = MultiPoly.zero(1)
+    acc = MultiPoly.constant(1, 0.0)
     power = x
     for c in mono_coeffs:
         acc = acc + c * power

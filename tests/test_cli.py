@@ -309,6 +309,9 @@ class TestCommands:
 # sha256 of each stage command's files (manifests aside) for both shipped
 # instances at their default configuration, and of bench-compare's report,
 # as the code wrote them before the instances shared one window protocol.
+# The folded-demo value files were recaptured when the folded step map came
+# from running the step closure on MultiPoly coordinates; the layout files
+# kept their bytes.
 # Recomputed in a child process with every BLAS pool at one thread.
 _STAGE_DIGESTS = Path(__file__).parent / "data" / "stage_artifacts_sha256.json"
 _STAGE_SCRIPT = """

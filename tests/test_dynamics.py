@@ -24,12 +24,11 @@ from robustlift.dynamics import (
     folded_poly_step,
     folded_step_closure,
     one_step_delta_bound,
-    recentre_polys,
     scaled_base_step_error_bound,
     schedule_error_constant,
-    structural_step_polys,
 )
 from robustlift.dynamics import DegreeOverflowError
+from robustlift.instances import folded_demo_instance
 from robustlift.multipoly import MultiPoly
 from robustlift.polyapprox import (
     ClipSpec,
@@ -54,6 +53,11 @@ class ExactSat:
 
     def __call__(self, x):
         return np.clip(np.real(x), -1.0, 1.0)
+
+
+def _coordinates(d):
+    """The d variables as an object array the step closures run on."""
+    return np.array([MultiPoly.variable(d, i) for i in range(d)], dtype=object)
 
 
 def toy_gradient():
@@ -194,35 +198,31 @@ class TestFoldedStep:
         folded_poly_step(v, 0, sched, grads, ExactSign(), ExactSat(), monitor)
         assert monitor.checked == 1
 
-    def test_structural_polys_equal_closure(self):
-        p_s = OddPolynomial(np.array([1.2, -0.25]), halfwidth=1.0)
-        p_c = OddPolynomial(np.array([0.9, 0.05, -0.02]), halfwidth=2.0)
-        grads = toy_gradient()
-        sched = StepSchedule.uniform(1, eps_ball=0.1, eta_delta=0.05,
-                                     eta_u=0.08, alpha=1.3)
-        polys = structural_step_polys(0, sched, grads, p_s, p_c)
-        closure = folded_step_closure(0, sched, grads, p_s, p_c)
-        pts = RNG.uniform(-0.3, 0.3, size=(50, 3))
-        truth = closure(pts)
-        got = np.stack([p(pts) for p in polys], axis=-1)
-        np.testing.assert_allclose(got, truth, rtol=1e-9, atol=1e-11)
-
-    def test_recentre_conjugates_the_map(self):
-        grads = toy_gradient()
-        sched = StepSchedule.uniform(1, eps_ball=0.1, eta_delta=0.05,
-                                     eta_u=0.08)
-        p_s = OddPolynomial(np.array([1.1, -0.2]))
-        p_c = OddPolynomial(np.array([0.95, 0.03]), halfwidth=2.0)
-        polys = structural_step_polys(0, sched, grads, p_s, p_c)
-        center = np.array([0.02, -0.01, 0.4])
-        scale = np.array([5.0, 5.0, 1.5])
-        moved = recentre_polys(polys, center, scale)
-        pts = RNG.uniform(-0.2, 0.2, size=(40, 3))
-        # w = S (v - c): recentred map at w equals S (Psi(c + S^-1 w) - c)
-        orig = np.stack([p(center + pts / scale) for p in polys], axis=-1)
-        expect = (orig - center) * scale
-        got = np.stack([p(pts) for p in moved], axis=-1)
-        np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-10)
+    def test_step_on_multipoly_coordinates_is_the_step(self):
+        # folded-demo's map in y = S (v - c) is the step conjugated there
+        inst = folded_demo_instance()
+        p_s, p_c = inst.design_polys(0.05, 0.05)
+        closure = folded_step_closure(0, inst.sched, inst.grads, p_s, p_c)
+        c, s = inst.center, inst.scale
+        y = RNG.uniform(-1.0, 1.0, size=(50, 2))
+        np.testing.assert_allclose(inst.build_expansion(p_s, p_c).evaluate(y),
+                                   s * (closure(c + y / s) - c),
+                                   rtol=1e-13, atol=1e-13)
+        # criterion 08's quadratic gradient takes the same route
+        x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        grads = PolynomialGradient(
+            [x0 * x0 * 0.3 + x1 * 0.2 + MultiPoly.constant(2, 0.05)],
+            [x0 * x1 * 0.3 + x1 * 0.2 + MultiPoly.constant(2, 0.02)],
+            m=1, n=1, eps_u_grad=0.0, l_u_delta=1.0)
+        sched = StepSchedule.uniform(1, eps_ball=0.2, eta_delta=0.02,
+                                     eta_u=0.05, alpha=1.0)
+        closure = folded_step_closure(
+            0, sched, grads, OddPolynomial(np.array([0.6, 0.15]), 1.0),
+            OddPolynomial(np.array([0.6, 0.15, 0.05]), 2.0))
+        polys = closure(_coordinates(2))
+        pts = RNG.uniform(-0.5, 0.5, size=(50, 2))
+        np.testing.assert_allclose(np.stack([p(pts) for p in polys], axis=-1),
+                                   closure(pts), rtol=1e-13, atol=1e-15)
 
 
 class TestExpansion:
@@ -677,8 +677,8 @@ class TestMapCoeffs:
                                      eta_u=0.08)
         p_s = OddPolynomial(np.array([1.1, -0.15]))
         p_c = OddPolynomial(np.array([0.93, 0.02]), halfwidth=2.0)
-        polys = structural_step_polys(0, sched, grads, p_s, p_c)
-        return PolynomialMapCoeffs.from_coordinate_polys(polys, tol=1e-13)
+        polys = folded_step_closure(0, sched, grads, p_s, p_c)(_coordinates(3))
+        return PolynomialMapCoeffs.from_coordinate_polys(list(polys), tol=1e-13)
 
     def test_operator_norm_dominates_matrix_norm(self):
         coeffs = self.make()

@@ -1,6 +1,7 @@
 """Ready-made instances: the certified run, its folded twin, random draws."""
 
 import hashlib
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,11 +162,24 @@ class TestFoldedDemo:
             run_pipeline_certificate(inst, 0.3, mode="state")
 
     def test_expansion_degree_capped(self, monkeypatch):
+        # the cap applies to the bound q^2 K_s K_c = 3 * 13, not to the
+        # degree the composed map trims to
         inst = folded_demo_instance()
-        monkeypatch.setattr(robustlift.instances, "_MAX_EXPAND_DEGREE", 10)
         p_s, p_c = inst.design_polys(0.05, 0.05)
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(robustlift.instances, "_MAX_EXPAND_DEGREE", 38)
+        with pytest.raises(ValueError, match="too high for direct expansion"):
             inst.build_expansion(p_s, p_c)
+        monkeypatch.setattr(robustlift.instances, "_MAX_EXPAND_DEGREE", 39)
+        assert inst.build_expansion(p_s, p_c).degree <= 39
+
+    def test_designed_surrogates_refused_before_composing(self):
+        # designed surrogates put the bound in the thousands; composing
+        # them on MultiPoly grids first would take close to a minute
+        inst = replace(folded_demo_instance(), fixed_polys=None)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too high for direct expansion"):
+            run_pipeline_certificate(inst, 0.3, mode="state")
+        assert time.perf_counter() - start < 5.0
 
 
 class TestWindowProtocol:

@@ -1,11 +1,13 @@
-"""Ring arithmetic on dense exponent grids and ring-generic Clenshaw."""
+"""Ring arithmetic on dense exponent grids, and Chebyshev series on them."""
+
+import tracemalloc
 
 import numpy as np
 import numpy.polynomial.chebyshev as C
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from robustlift.multipoly import MultiPoly, ring_chebval
+from robustlift.multipoly import MultiPoly
+from robustlift.polyapprox import OddPolynomial
 
 RNG = np.random.default_rng(7)
 
@@ -16,12 +18,6 @@ def random_poly(d: int, deg: int, rng) -> MultiPoly:
 
 
 class TestMultiPoly:
-    def test_affine_evaluation(self):
-        p = MultiPoly.affine(3, np.array([2.0, 0.0, -1.0]), 0.5)
-        pts = RNG.standard_normal((40, 3))
-        expect = 0.5 + 2.0 * pts[:, 0] - pts[:, 2]
-        np.testing.assert_allclose(p(pts), expect, atol=1e-14)
-
     def test_ring_ops_match_pointwise(self):
         a = random_poly(2, 3, RNG)
         b = random_poly(2, 2, RNG)
@@ -29,15 +25,6 @@ class TestMultiPoly:
         np.testing.assert_allclose((a + b)(pts), a(pts) + b(pts), atol=1e-10)
         np.testing.assert_allclose((a - b)(pts), a(pts) - b(pts), atol=1e-10)
         np.testing.assert_allclose((a * b)(pts), a(pts) * b(pts), rtol=1e-10)
-
-    def test_substitution_is_composition(self):
-        outer = random_poly(2, 2, RNG)
-        inner = [random_poly(2, 2, RNG), random_poly(2, 1, RNG)]
-        composed = outer.substitute(inner)
-        pts = RNG.uniform(-0.7, 0.7, size=(25, 2))
-        stage = np.stack([q(pts) for q in inner], axis=-1)
-        np.testing.assert_allclose(composed(pts), outer(stage), rtol=1e-9,
-                                   atol=1e-9)
 
     def test_total_degree_and_slices(self):
         v0 = MultiPoly.variable(2, 0)
@@ -49,6 +36,27 @@ class TestMultiPoly:
         assert p.degree_slice(0) == {(0, 0): 1.0}
         assert p.degree_slice(2) == {}
 
+    def test_zero_factor_spans_no_variable(self):
+        # a zero weight in a matrix row adds no axis to the row's grid
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        w = np.array([x, y], dtype=object) @ np.array([0.3, 0.0]) + 1.0
+        assert w.coeffs.shape == (2, 1)
+        assert w.coeffs.tolist() == [[1.0], [0.3]]
+
+    def test_oversized_sum_refused_before_allocating(self):
+        # two univariate degree-4096 polynomials in different variables
+        # sum to a 4097^2-cell grid, just past the 2^24 cap
+        wide = MultiPoly(np.ones((4097, 1)))
+        tall = MultiPoly(np.ones((1, 4097)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="sum grid exceeds cap"):
+                wide + tall
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_complex_evaluation_supported(self):
         p = random_poly(2, 3, RNG)
         z = RNG.standard_normal((10, 2)) + 1j * RNG.standard_normal((10, 2))
@@ -57,123 +65,16 @@ class TestMultiPoly:
         np.testing.assert_allclose(p(np.real(z)), np.real(p(np.real(z))))
 
 
-def _substitute_reference(poly: MultiPoly, args: list[MultiPoly]) -> MultiPoly:
-    """Term-by-term composition: each monomial as a ring product of its
-    powers, added to a growing sum with ``+``."""
-    d_out = args[0].d
-    one = MultiPoly.constant(d_out, 1.0)
-    powers = [[one] for _ in range(poly.d)]
-    out = MultiPoly.zero(d_out)
-    for idx in np.ndindex(poly.coeffs.shape):
-        c = poly.coeffs[idx]
-        if c == 0.0:
-            continue
-        term = one * c
-        for i, e in enumerate(idx):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * args[i])
-            if e:
-                term = term * powers[i][e]
-        out = out + term
-    return out
-
-
-# sparse coefficients, products that underflow, signed zeros and infinities
-_COEFF = st.one_of(
-    st.just(0.0), st.just(0.0), st.just(-0.0),
-    st.floats(-2.0, 2.0, allow_subnormal=False),
-    st.floats(-2.0, 2.0, allow_subnormal=False).map(lambda x: x * 1e-160),
-    st.sampled_from([np.inf, -np.inf]),
-)
-
-
-@st.composite
-def _grid(draw, d: int, max_degree: int):
-    shape = tuple(draw(st.integers(1, max_degree + 1)) for _ in range(d))
-    size = int(np.prod(shape))
-    return np.array(draw(st.lists(_COEFF, min_size=size, max_size=size))).reshape(shape)
-
-
-@st.composite
-def _affine_case(draw):
-    # one variable per argument, v_i / s_i + c_i, as recentre_polys builds
-    d = draw(st.integers(1, 3))
-    outer = MultiPoly(draw(_grid(d, 4)))
-    args = []
-    for i in range(d):
-        scale = draw(st.sampled_from([1.0, 45.0, 1.5, 1e160, -0.5]))
-        shift = draw(st.sampled_from([0.0, 0.02, -0.3]) | _COEFF)
-        args.append(MultiPoly.variable(d, i) * (1.0 / scale) + shift)
-    return outer, args
-
-
-@st.composite
-def _multivariate_case(draw):
-    # dense polynomials in every variable for the first arguments, plain
-    # variables for the rest, as structural_step_polys builds its inner map
-    d = draw(st.integers(1, 3))
-    outer = MultiPoly(draw(_grid(d, 4)))
-    n_dense = draw(st.integers(1, d))
-    args = [MultiPoly(draw(_grid(d, 2))) for _ in range(n_dense)]
-    args += [MultiPoly.variable(d, i) for i in range(n_dense, d)]
-    return outer, args
-
-
-class TestSubstituteMatchesReference:
-    def _check(self, outer, args):
-        with np.errstate(all="ignore"):
-            got = outer.substitute(args)
-            ref = _substitute_reference(outer, args)
-        assert got.coeffs.shape == ref.coeffs.shape
-        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
-
-    @given(_affine_case())
-    @settings(max_examples=150, deadline=None)
-    def test_affine_args(self, case):
-        self._check(*case)
-
-    @given(_multivariate_case())
-    @settings(max_examples=150, deadline=None)
-    def test_multivariate_args(self, case):
-        self._check(*case)
-
-    def test_all_zero_poly_keeps_unit_grid(self):
-        outer = MultiPoly(np.array([[0.0, -0.0], [0.0, 0.0]]))
-        args = [MultiPoly.variable(2, 1), MultiPoly.variable(2, 0) + 1.0]
-        got = outer.substitute(args)
-        ref = _substitute_reference(outer, args)
-        assert got.coeffs.shape == ref.coeffs.shape == (1, 1)
-        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
-
-    @pytest.mark.parametrize("d_first, d_second", [(2, 3), (3, 2)])
-    def test_mixed_variable_counts_rejected(self, d_first, d_second):
-        # (2, 3) used to drop a variable silently, (3, 2) to fail in numpy
-        outer = MultiPoly(np.array([[1.0, 2.0], [3.0, 0.0]]))
-        args = [MultiPoly.variable(d_first, 0), MultiPoly.variable(d_second, 1)]
-        with pytest.raises(ValueError, match="one variable count"):
-            outer.substitute(args)
-
-
-class TestRingChebval:
-    def test_matches_numpy_on_scalars(self):
-        coeffs = RNG.standard_normal(7)
-        xs = np.linspace(-1, 1, 33)
-        np.testing.assert_allclose(ring_chebval(xs, coeffs),
-                                   C.chebval(xs, coeffs), atol=1e-12)
-
-    def test_poly_argument_composes(self):
-        coeffs = RNG.standard_normal(5)
-        arg = MultiPoly.affine(2, np.array([0.3, -0.2]), 0.1)
-        composed = ring_chebval(arg, coeffs)
+class TestChebvalOnMultiPolys:
+    def test_odd_polynomial_composes_on_coordinates(self):
+        # numpy's chebval over an object array is a ring Clenshaw, so an
+        # OddPolynomial applied to MultiPolys is its composition with them
+        p = OddPolynomial(RNG.standard_normal(4), halfwidth=2.0)
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        args = np.array([x * 0.3 - y * 0.2 + 0.1, y / 0.5], dtype=object)
+        composed = p(args)
+        assert [q.total_degree() for q in composed] == [p.degree] * 2
         pts = RNG.uniform(-1, 1, size=(30, 2))
-        np.testing.assert_allclose(composed(pts), C.chebval(arg(pts), coeffs),
-                                   rtol=1e-10, atol=1e-10)
-
-    @given(st.integers(1, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_degree_preserved(self, n):
-        coeffs = np.zeros(n + 1)
-        coeffs[-1] = 1.0
-        x = MultiPoly.variable(1, 0)
-        assert ring_chebval(x, coeffs).total_degree(tol=1e-9) == n
-
+        for q, arg in zip(composed, args):
+            want = [C.chebval(a / 2.0, p.full_coeffs()) for a in arg(pts)]
+            np.testing.assert_allclose(q(pts), want, rtol=1e-12, atol=1e-12)

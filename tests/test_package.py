@@ -89,6 +89,9 @@ _REMOVED_PARAMETERS = {
         "lin_norm", "const_norm", "high_norm"),   # _LIN_NORM, ...
     ("instances", "random_contractive"): (
         "d_max", "degree_max", "n_levels_max", "t_max"),  # _D_MAX, ...
+    ("solver", "ResourceModel"): (
+        "c_prep",          # prep is dim
+        "c_prep_qram"),    # prep is log2(dim)^p with qRAM
 }
 # constructor fields of the instance classes that became class variables
 # (uses_fold), module constants or a non-init cache
@@ -120,13 +123,18 @@ def test_reduced_task_holds_what_the_cli_sets():
 
 
 # methods no pipeline called, deleted with the tests that were their only
-# callers, and a route replaced by its closed form
+# callers, a route replaced by its closed form, and the symbolic twin of
+# the surrogate step (the step now runs on MultiPoly coordinates)
 _REMOVED_NAMES = {
     "polyapprox": ("OddPolynomial.to_monomial", "OddPolynomial.load_text",
                    "_MONOMIAL_EXPORT_MAX_DEGREE"),
-    "dynamics": ("PolynomialMapCoeffs.from_json",),
+    "dynamics": ("PolynomialMapCoeffs.from_json", "structural_step_polys",
+                 "recentre_polys", "AffineGradient.delta_polys",
+                 "AffineGradient.u_polys", "PolynomialGradient.delta_polys",
+                 "PolynomialGradient.u_polys"),
     "instances": ("CertifyInstance.realized_affine_polys",),
-    "multipoly": ("MultiPoly.__pow__",),
+    "multipoly": ("MultiPoly.__pow__", "ring_chebval", "MultiPoly.substitute",
+                  "MultiPoly.affine", "MultiPoly.zero"),
     "readout": ("_MAX_STACKED_NNZ",),  # horizon.MAX_STACKED_NNZ
 }
 
@@ -174,6 +182,18 @@ def test_window_chain_is_composed_once():
         callers |= {(name, ".".join(where)) for where, called in _calls(tree)
                     if called in _WINDOW_CHAIN}
     assert callers == {("horizon", "lift_window")}
+
+
+def test_surrogate_step_is_defined_once():
+    # the surrogates are applied in one place, which trajectories, the
+    # FFT expansion and the MultiPoly composition all run through
+    callers = set()
+    for name in MODULES:
+        module = importlib.import_module(f"robustlift.{name}")
+        tree = ast.parse(inspect.getsource(module))
+        callers |= {(name, ".".join(where)) for where, called in _calls(tree)
+                    if called in ("p_s", "p_c")}
+    assert callers == {("dynamics", "_attack_substep")}
 
 
 def test_import_leaves_optional_scipy_modules_unloaded(pinned_child):

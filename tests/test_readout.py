@@ -488,6 +488,9 @@ print(json.dumps(out))
 # p_star alone was recaptured when the probe took its terminal weight from
 # the exact lift of its trajectory instead of the N = 4 recurrence, and
 # kappa_measured alone when a Lanczos run on M^T M replaced the dense SVD.
+# The two folded-demo files were recaptured, in trailing digits only, when
+# their step map came from running the step closure on MultiPoly
+# coordinates instead of a symbolic copy of the step.
 # The files were written, and are recomputed, by a child process with
 # every BLAS pool at one thread (see `pinned_child`).
 _ORACLE = Path(__file__).parent / "data"

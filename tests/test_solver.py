@@ -172,10 +172,6 @@ class TestResourceModel:
         assert fast.queries == plain.queries
         assert "qram" in fast.formulas["prep"]
 
-    def test_explicit_prep_override(self):
-        est = qlsa_estimate(self.base(c_prep=512.0))
-        assert est.prep_gates == 512.0
-
     def test_constants_scale_outputs(self):
         unit = qlsa_estimate(self.base())
         scaled = qlsa_estimate(self.base(c_query=2.5))
