@@ -198,7 +198,22 @@ class TestFoldedStep:
         folded_poly_step(v, 0, sched, grads, ExactSign(), ExactSat(), monitor)
         assert monitor.checked == 1
 
-    def test_step_on_multipoly_coordinates_is_the_step(self):
+    def test_structural_polys_equal_closure(self):
+        # the affine gradient's step, run on MultiPoly coordinates, gives
+        # coordinate polynomials that agree with the numeric step
+        p_s = OddPolynomial(np.array([1.2, -0.25]), halfwidth=1.0)
+        p_c = OddPolynomial(np.array([0.9, 0.05, -0.02]), halfwidth=2.0)
+        grads = toy_gradient()
+        sched = StepSchedule.uniform(1, eps_ball=0.1, eta_delta=0.05,
+                                     eta_u=0.08, alpha=1.3)
+        closure = folded_step_closure(0, sched, grads, p_s, p_c)
+        polys = closure(_coordinates(3))
+        assert all(isinstance(p, MultiPoly) for p in polys)
+        pts = RNG.uniform(-0.3, 0.3, size=(50, 3))
+        got = np.stack([p(pts) for p in polys], axis=-1)
+        np.testing.assert_allclose(got, closure(pts), rtol=1e-9, atol=1e-11)
+
+    def test_recentre_conjugates_the_map(self):
         # folded-demo's map in y = S (v - c) is the step conjugated there
         inst = folded_demo_instance()
         p_s, p_c = inst.design_polys(0.05, 0.05)
@@ -208,6 +223,8 @@ class TestFoldedStep:
         np.testing.assert_allclose(inst.build_expansion(p_s, p_c).evaluate(y),
                                    s * (closure(c + y / s) - c),
                                    rtol=1e-13, atol=1e-13)
+
+    def test_step_on_multipoly_coordinates_is_the_step(self):
         # criterion 08's quadratic gradient takes the same route
         x0, x1 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
         grads = PolynomialGradient(
