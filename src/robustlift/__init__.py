@@ -1,12 +1,13 @@
 """Robust-training windows as certified sparse linear systems.
 
 The package turns a projected-gradient robust-training window into (1) a
-polynomial surrogate of the nonsmooth update, (2) a truncated tensor-power
-lifting of that surrogate with certified contraction and tail bounds, (3) a
-block-bidiagonal horizon system with conditioning and sparsity certificates,
-and (4) terminal readout with an end-to-end error budget plus an abstract
-quantum-linear-solver cost model.  A small benchmark harness reproduces the
-reduced image-classification task used to sanity-check the reduction.
+polynomial surrogate of the nonsmooth update, (2) a truncated symmetric
+tensor-power lifting of that surrogate with certified contraction and tail
+bounds, (3) a block-bidiagonal horizon system with conditioning and
+sparsity certificates, and (4) terminal readout with an end-to-end error
+budget plus an abstract quantum-linear-solver cost model.  A small
+benchmark harness reproduces the reduced image-classification task used
+to sanity-check the reduction.
 """
 
 __version__ = "0.1.0"

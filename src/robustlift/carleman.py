@@ -1,20 +1,19 @@
 """Lifting a polynomial step map to a truncated linear recurrence.
 
-Levels stack Kronecker powers of the state: the lifted vector holds
-v, v^(x2), ..., v^(xN) in row-major tuple order.  The step map's
-coefficient tensors feed transfer blocks K_{j,s}; keeping 1 <= j,s <= N
-gives the square block matrix B and the constant column c of the
-truncated affine recurrence.
+Level j of the lifted vector holds v^(xj) on the symmetric tensors, in
+the isometric monomial basis: the C(d+j-1, j) monomials v^alpha with
+|alpha| = j, in `itertools.combinations_with_replacement(range(d), j)`
+order, each scaled by sqrt(m_alpha), m_alpha = j! / prod_i alpha_i! the
+number of index words with that content.  Then ||y_j|| = ||v||^j, level
+one is v itself, and levels 1..N hold C(d+N, N) - 1 coordinates where
+the Kronecker powers hold sum_j d^j.  With U_j the d^j x C(d+j-1, j)
+matrix whose column alpha holds 1 / sqrt(m_alpha) at each word of content
+alpha, v^(xj) = U_j y_j, and the Kronecker lift's B maps the span of U
+into itself: B_kron U = U B.
 
-Assembly runs the level recurrence
-
-    K_{j,s} = sum_l kron(Q_l, K_{j-1, s-l}),
-
-one numpy pass per level, and gives the bits scipy's sparse `kron` and CSR
-sums would: every entry is the same IEEE products added in ascending l.
-Each Q_l comes from the step map placed by exponent content (see
-`dynamics`): the word of a column's base-d digits names a monomial, and
-every reordering of that word carries the same share of its coefficient.
+Row alpha of [c | B] holds the coefficients of prod_{i in alpha} p_i up to
+total degree N, the one at gamma scaled by sqrt(m_alpha / m_gamma); it is
+built as p_i times the row one level down (see `build_lifted_step`).
 
 Contractivity and truncation tails never look at B directly: a small
 N x N majorant built from per-degree operator norms bounds ||B||_2, and
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -32,6 +32,7 @@ from scipy import sparse
 
 __all__ = [
     "delta_dim",
+    "checked_dim",
     "level_offsets",
     "lift_state",
     "LiftedStep",
@@ -51,28 +52,97 @@ DEFAULT_DIM_CAP = 5_000_000
 
 
 def delta_dim(d: int, n_levels: int) -> int:
-    return sum(d**j for j in range(1, n_levels + 1))
+    """Monomials of total degree 1..N in d variables: C(d + N, N) - 1."""
+    return math.comb(d + n_levels, n_levels) - 1
+
+
+def checked_dim(d: int, n_levels: int) -> int:
+    """delta_dim, refused with MemoryError above DEFAULT_DIM_CAP."""
+    if n_levels < 1:
+        raise ValueError("a lift needs at least one level")
+    dim = delta_dim(d, n_levels)
+    if dim > DEFAULT_DIM_CAP:
+        raise MemoryError("lifted dimension exceeds the configured cap")
+    return dim
 
 
 def level_offsets(d: int, n_levels: int) -> np.ndarray:
-    """Start offset of each level block; entry [j-1] is where v^(xj) begins."""
-    sizes = [d**j for j in range(1, n_levels + 1)]
-    return np.concatenate([[0], np.cumsum(sizes)])
+    """Start offset of each level block; entry [j-1] is where level j begins."""
+    return np.array([delta_dim(d, j) for j in range(n_levels + 1)])
+
+
+@dataclass(frozen=True)
+class _Monomials:
+    """The monomials of degree 0..N in column order, 0 the constant.
+
+    Monomial g >= 1 is the sorted word of letter first[g] followed by the
+    word of monomial tail[g].  times[k, g] is the index of x_k times
+    monomial g, for g of degree < N.
+    """
+
+    first: np.ndarray
+    tail: np.ndarray
+    sqrt_mult: np.ndarray
+    times: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _monomials(d: int, n_levels: int) -> _Monomials:
+    """Build degree s from degree s - 1, without listing words.
+
+    Within a degree the words run in lex order, so those whose first
+    letter is >= k form a suffix of counts[k] = C(d-k+s-2, s-1) words, and
+    prepending a letter i that sorts first moves a monomial of degree
+    s - 1 by cumsum(counts)[i].
+    """
+    width = delta_dim(d, n_levels) + 1
+    first = np.full(width, d)  # the constant sorts after every letter
+    tail = np.zeros(width, dtype=np.int64)
+    mult = np.ones(width)
+    run = np.zeros(width, dtype=np.int64)  # copies of the first letter
+    times = np.empty((d, delta_dim(d, n_levels - 1) + 1), dtype=np.int64)
+    letters = np.arange(d)
+    lo = 0
+    for s in range(1, n_levels + 1):
+        hi = delta_dim(d, s - 1) + 1  # degree s - 1 spans lo..hi-1
+        shift = np.cumsum([math.comb(d - k + s - 2, s - 1) for k in range(d)])
+        top = hi + int(shift[-1])
+        head = np.repeat(letters, np.diff(shift, prepend=0))
+        tail[hi:top] = np.arange(hi, top) - shift[head]
+        first[hi:top] = head
+        below = tail[hi:top]
+        run[hi:top] = np.where(first[below] == head, run[below] + 1, 1)
+        # m = s! / prod_k alpha_k! is m(tail) * s / alpha_head
+        mult[hi:top] = mult[below] * s / run[hi:top]
+        # x_k times monomial g of degree s - 1 prepends k when k sorts
+        # first; otherwise x_k multiplies g's tail and first[g] is prepended
+        prev = np.arange(lo, hi)
+        out = prev + shift[:, None]
+        k, g = np.nonzero(letters[:, None] > first[prev])
+        out[k, g] = times[k, tail[prev[g]]] + shift[first[prev[g]]]
+        times[:, lo:hi] = out
+        lo = hi
+    arrays = (first, tail, np.sqrt(mult), times)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _Monomials(*arrays)
 
 
 def lift_state(v: np.ndarray, n_levels: int) -> np.ndarray:
-    if n_levels < 1:
-        raise ValueError("a lift needs at least one level")
+    """sqrt(m_alpha) v^alpha for 1 <= |alpha| <= N, in column order.
+
+    The weights make each level an isometric image of v^(xj),
+    ||y_j|| = ||v||^j, and level one is v itself.
+    """
     v = np.asarray(v, dtype=float)
     d = len(v)
-    if delta_dim(d, n_levels) > DEFAULT_DIM_CAP:
-        raise MemoryError("lifted dimension exceeds the configured cap")
-    blocks = []
-    power = np.array([1.0])
-    for _ in range(n_levels):
-        power = np.kron(power, v)
-        blocks.append(power)
-    return np.concatenate(blocks)
+    checked_dim(d, n_levels)
+    mono = _monomials(d, n_levels)
+    power = np.ones(mono.first.size)
+    bounds = level_offsets(d, n_levels) + 1
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        power[lo:hi] = v[mono.first[lo:hi]] * power[mono.tail[lo:hi]]
+    return (power * mono.sqrt_mult)[1:]
 
 
 @dataclass(frozen=True)
@@ -104,236 +174,104 @@ class LiftedStep:
         return self.b_matrix @ y + self.c_vector
 
 
-@dataclass
-class _Level:
-    """The blocks K_{j,0}, ..., K_{j,N} of one level, side by side.
-
-    Column u lies in block s when off[s] <= u < off[s+1], so column 0 is
-    the constant column and column u >= 1 is column u - 1 of B.  A level
-    is held as a dense slab with the mask of what it stores, or as its
-    stored entries: ascending keys row * width + u and their values.
-    """
-
-    n_rows: int
-    width: int
-    slab: np.ndarray | None = None
-    stored: np.ndarray | None = None
-    keys: np.ndarray | None = None
-    vals: np.ndarray | None = None
-
-    def entries(self):
-        """Rows, columns and values of the stored entries."""
-        if self.slab is not None:
-            rows, cols = np.nonzero(self.stored)
-            return rows, cols, self.slab[self.stored]
-        rows, cols = np.divmod(self.keys, self.width)
-        return rows, cols, self.vals
-
-    def as_slab(self):
-        """The level as a slab (zeros where unstored) and its stored mask."""
-        if self.slab is not None:
-            return self.slab, self.stored
-        slab = np.zeros(self.n_rows * self.width)
-        stored = np.zeros(self.n_rows * self.width, dtype=bool)
-        slab[self.keys] = self.vals
-        stored[self.keys] = True
-        return (slab.reshape(self.n_rows, self.width),
-                stored.reshape(self.n_rows, self.width))
-
-    def block_counts(self, off: np.ndarray) -> np.ndarray:
-        """Stored entries per block s = 0..N."""
-        if self.slab is not None:
-            return np.add.reduceat(np.count_nonzero(self.stored, axis=0),
-                                   off[:-1])
-        blocks = np.searchsorted(off, self.keys % self.width, side="right") - 1
-        return np.bincount(blocks, minlength=len(off) - 1)
-
-    def row_counts(self) -> np.ndarray:
-        """Stored entries per row in the columns of B."""
-        if self.slab is not None:
-            return np.count_nonzero(self.stored[:, 1:], axis=1)
-        rows, cols = np.divmod(self.keys, self.width)
-        return np.bincount(rows[cols > 0], minlength=self.n_rows)
-
-    def write(self, indices: np.ndarray, data: np.ndarray) -> None:
-        """Fill this level's rows of B in row-major, column-sorted order."""
-        if self.slab is not None:
-            mask = self.stored[:, 1:]
-            cols = np.arange(self.width - 1, dtype=indices.dtype)
-            indices[:] = np.broadcast_to(cols, mask.shape)[mask]
-            data[:] = self.slab[:, 1:][mask]
-            return
-        cols = self.keys % self.width
-        in_b = cols > 0
-        indices[:] = cols[in_b] - 1
-        data[:] = self.vals[in_b]
-
-    def constant(self) -> np.ndarray:
-        """Column 0 as `toarray` gives it: 0.0 + value where stored."""
-        if self.slab is not None:
-            # an unstored cell holds a signed zero
-            return self.slab[:, 0] + 0.0
-        out = np.zeros(self.n_rows)
-        rows, cols = np.divmod(self.keys, self.width)
-        first = cols == 0
-        out[rows[first]] += self.vals[first]
-        return out
+def _map_terms(coeffs, mono: _Monomials, n_levels: int) -> list:
+    """Per degree l <= N, each stored coefficient of the map as its
+    coordinate i, its monomial's letters (l columns) and column, and value."""
+    letters = np.arange(coeffs.d)
+    out = []
+    for ell, by_beta in sorted(coeffs.terms.items()):
+        if ell > n_levels:
+            continue
+        words = np.array([np.repeat(letters, beta) for beta in by_beta],
+                         dtype=np.int64).reshape(len(by_beta), ell)
+        cols = np.zeros(len(by_beta), dtype=np.int64)
+        for t in range(ell):
+            cols = mono.times[words[:, t], cols]
+        values = np.stack(list(by_beta.values()))
+        which, i = np.nonzero(values)
+        out.append((ell, i, words[which], cols[which], values[which, i]))
+    return out
 
 
-def _dense_level(mats, dense, live, prev, off, per_block, single) -> _Level:
-    """Accumulate a level block by block into a slab.
-
-    Every factor is finite here (see `_next_level`), so the products of
-    unstored zeros, which `kron` never forms, leave each nonzero sum as
-    it was.  The slab starts at -0.0 because -0.0 + x == x keeps a lone
-    product's bits, zeros included.  A block summed from two or more
-    terms stores its nonzeros, as a CSR sum does; a single-term block
-    stores every product `kron` makes.  `dense` holds each Q_l as an
-    array and its stored mask, formed on a lift's first dense level that
-    needs them and kept for the rest of that lift.
-    """
-    d = mats[0].shape[0]
-    prev_slab, prev_stored = prev.as_slab()
-    slab = np.full((d * prev.n_rows, prev.width), -0.0)
-    stored = np.zeros(slab.shape, dtype=bool)
-    for ell in live:
-        if ell not in dense:
-            q = mats[ell]
-            q_struct = np.zeros(q.shape, dtype=bool)
-            q_struct[np.repeat(np.arange(d), np.diff(q.indptr)), q.indices] = True
-            dense[ell] = q.toarray(), q_struct
-        q_dense, q_struct = dense[ell]
-        for sp in range(len(off) - 1 - ell):
-            if not per_block[sp]:
-                continue
-            s = sp + ell
-            # rows (Q row, prev row) and columns (Q column, prev column):
-            # splitting both axes keeps the slice a view
-            shape = (d, prev.n_rows, d**ell, d**sp)
-            src = np.s_[None, :, None, off[sp]:off[sp + 1]]
-            target = slab[:, off[s]:off[s + 1]].reshape(shape)
-            target += q_dense[:, None, :, None] * prev_slab[src]
-            if single[s]:
-                # the one pair that writes this block marks what kron keeps
-                stored[:, off[s]:off[s + 1]].reshape(shape)[...] = (
-                    q_struct[:, None, :, None] & prev_stored[src])
-    stored |= slab != 0
-    return _Level(slab.shape[0], prev.width, slab=slab, stored=stored)
-
-
-def _merged_level(mats, live, prev, off, single) -> _Level:
-    """Accumulate a level by sorting the keys of its products.
-
-    Each term's products come one row of Q_l at a time; a stable sort
-    keeps every key's terms in ascending l, and they are summed left to
-    right from the first, not from 0.0.
-    """
-    d = mats[0].shape[0]
-    width = prev.width
-    n_levels = len(off) - 2
-    rows, cols, vals = prev.entries()
-    blocks = np.searchsorted(off, cols, side="right") - 1
-    keys, prods = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for ell in live:
-        q = mats[ell]
-        keep = cols < off[n_levels - ell + 1]
-        blk = blocks[keep]
-        # (prev row, column in block s' = blk) lands in block blk + ell at
-        # Q column * d^blk + the same offset within the block
-        base = rows[keep] * width + (off[blk + ell] - off[blk]) + cols[keep]
-        stride = d**blk
-        for a in range(d):
-            lo, hi = q.indptr[a], q.indptr[a + 1]
-            if lo < hi:
-                keys.append((a * prev.n_rows * width + base
-                             + q.indices[lo:hi, None] * stride).ravel())
-                prods.append((q.data[lo:hi, None] * vals[keep]).ravel())
-    keys, prods = np.concatenate(keys), np.concatenate(prods)
+def _summed(keys: list, prods: list, width: int):
+    """Rows, columns and sums of the nonzero entries, by ascending key
+    row * width + column.  The stable sort keeps one key's products in
+    the order given, so each sum is the same on every host."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + keys)
+    prods = np.concatenate([np.zeros(0)] + prods)
     order = np.argsort(keys, kind="stable")
-    keys, prods = keys[order], prods[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    count = np.diff(first, append=keys.size)
-    sums = prods[first]
-    for k in range(1, int(count.max(initial=1))):
-        more = count > k
-        sums[more] += prods[first[more] + k]
-    keys = keys[first]
-    blk = np.searchsorted(off, keys % width, side="right") - 1
-    kept = single[blk] | (sums != 0)
-    return _Level(d * prev.n_rows, width, keys=keys[kept], vals=sums[kept])
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(prods[order], starts) if starts.size else prods
+    kept = sums != 0
+    rows, cols = np.divmod(keys[starts[kept]], width)
+    return rows, cols, sums[kept]
 
 
-def _next_level(mats, dense: dict, prev: _Level, off: np.ndarray) -> _Level:
-    """K_{j,s} = sum_l kron(Q_l, K_{j-1,s-l}) for s = 0..N from level j-1."""
-    n_levels = len(off) - 2
-    per_block = prev.block_counts(off)
-    # products with an empty factor are skipped, so a block's terms are
-    # the nonempty pairs (Q_l, K_{j-1,s-l})
-    live = [ell for ell, q in enumerate(mats) if q.nnz]
-    n_terms = np.zeros(n_levels + 1, dtype=int)
-    for ell in live:
-        n_terms[ell:] += per_block[:n_levels + 1 - ell] > 0
-    single = n_terms == 1
-    below = np.cumsum(per_block)
-    n_products = sum(mats[ell].nnz * int(below[n_levels - ell])
-                     for ell in live)
-    n_cells = mats[0].shape[0] * prev.n_rows * prev.width
-    # a slab multiplies zeros that kron never forms, harmless only beside
-    # finite factors; a non-finite Q_l always shows in the level below
-    # (level one is Q_l itself) before it meets a nonempty block there
-    values = prev.vals if prev.slab is None else prev.slab
-    if n_cells <= n_products and np.isfinite(values).all():
-        return _dense_level(mats, dense, live, prev, off, per_block, single)
-    return _merged_level(mats, live, prev, off, single)
+def _product_level(terms: list, mono: _Monomials, prev, n_levels: int):
+    """Level j from level j - 1: row x_i w holds p_i times row w.
+
+    `prev` holds level j - 1's entries (row, column, value) by ascending
+    key.  A row w with first letter >= i meets each term of p_i of degree
+    l in its columns of degree <= N - l, so only stored entries are ever
+    multiplied.
+    """
+    rows, cols, vals = prev
+    d, width = mono.times.shape[0], mono.first.size
+    keys, prods = [], []
+    for ell, i, words, _, q in terms:
+        keep = cols <= delta_dim(d, n_levels - ell)
+        sub_rows, sub_cols, sub_vals = rows[keep], cols[keep], vals[keep]
+        # rows come sorted, so their first letters ascend
+        lo = np.searchsorted(mono.first[sub_rows], i)
+        count = sub_rows.size - lo
+        e = np.repeat(np.arange(i.size), count)
+        f = np.arange(e.size) + np.repeat(lo - np.cumsum(count) + count, count)
+        col = sub_cols[f]
+        for t in range(ell):
+            col = mono.times[words[e, t], col]
+        keys.append(mono.times[i[e], sub_rows[f]] * width + col)
+        prods.append(q[e] * sub_vals[f])
+    return _summed(keys, prods, width)
 
 
 def build_lifted_step(coeffs, n_levels: int) -> LiftedStep:
     """Lift `coeffs` to the truncated recurrence y+ = B y + c.
 
-    B and c match, bit for bit, the level recurrence
-    K_{j,s} = sum_l kron(Q_l, K_{j-1,s-l}) built with scipy's sparse `kron`
-    and CSR sums: each entry is the same products added in ascending l,
-    a block summed from two or more terms drops its exact zeros, and a
-    single-term block keeps every product.  Level j accumulates in one
-    pass: into a dense d^j x sum_s d^s slab when that slab has no more
-    cells than the level has products, sum_l nnz(Q_l) times the entries
-    of level j-1 in blocks s' <= N-l, and level j-1 is finite; by merging
-    sorted product keys otherwise.  B is written once, with sorted int32
-    indices while they fit.
+    Row alpha of [c | B] holds the coefficients of prod_{i in alpha} p_i up
+    to total degree N, the one at monomial gamma scaled by
+    sqrt(m_alpha / m_gamma), so that B lift_state(v) + c is the lift of
+    the map's image of v up to the discarded degrees.  Each level is built
+    from the one below (`_product_level`) by one stable sort and one
+    `np.add.reduceat` over its stored products: no kron, no d^j array and
+    no dense product, so an unstored zero is never multiplied and no sum
+    depends on the BLAS threads.  A product entry that sums to exactly
+    zero is not stored.  B is written with int32 indices while they fit.
     """
-    if n_levels < 1:
-        raise ValueError("a lift needs at least one level")
     d = coeffs.d
-    dim = delta_dim(d, n_levels)
-    if dim > DEFAULT_DIM_CAP:
-        raise MemoryError("lifted dimension exceeds the configured cap")
-    top = min(coeffs.degree, n_levels)
-    mats = [coeffs.as_matrix(ell) for ell in range(top + 1)]
-    # a level's column offsets: block s = 0..N is d^s wide
-    off = np.concatenate([[0], np.cumsum(d ** np.arange(n_levels + 1))])
-    # level 0 is K_{0,0} = [1], so level one is K_{1,s} = Q_s * 1.0 = Q_s
-    level = _Level(1, int(off[-1]), keys=np.zeros(1, dtype=np.int64),
-                   vals=np.ones(1))
-    levels, dense = [], {}
-    for _ in range(n_levels):
-        level = _next_level(mats, dense, level, off)
+    dim = checked_dim(d, n_levels)
+    mono = _monomials(d, n_levels)
+    terms = _map_terms(coeffs, mono, n_levels)
+    # level one: row 1 + i is p_i itself
+    level = _summed([(1 + i) * (dim + 1) + cols for _, i, _, cols, _ in terms],
+                    [q for *_, q in terms], dim + 1)
+    levels = [level]
+    for _ in range(1, n_levels):
+        level = _product_level(terms, mono, level, n_levels)
         levels.append(level)
-    counts = np.concatenate([lv.row_counts() for lv in levels])
-    nnz = int(counts.sum())
-    index_dtype = (np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max
+    rows, cols, vals = (np.concatenate(part) for part in zip(*levels))
+    vals = vals * (mono.sqrt_mult[rows] / mono.sqrt_mult[cols])
+    const = cols == 0
+    c_vector = np.zeros(dim)
+    c_vector[rows[const] - 1] = vals[const]
+    rows, cols, vals = rows[~const] - 1, cols[~const] - 1, vals[~const]
+    index_dtype = (np.int32 if max(vals.size, dim) <= np.iinfo(np.int32).max
                    else np.int64)
     indptr = np.zeros(dim + 1, dtype=index_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(nnz, dtype=index_dtype)
-    data = np.empty(nnz)
-    row = 0
-    for lv in levels:
-        lo, hi = indptr[row], indptr[row + lv.n_rows]
-        lv.write(indices[lo:hi], data[lo:hi])
-        row += lv.n_rows
-    b_matrix = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    b_matrix = sparse.csr_matrix((vals, cols.astype(index_dtype), indptr),
+                                 shape=(dim, dim))
     b_matrix.has_canonical_format = True  # each row's columns are ascending and distinct
-    c_vector = np.concatenate([lv.constant() for lv in levels])
     return LiftedStep(b_matrix, c_vector, d, n_levels)
 
 

@@ -237,6 +237,7 @@ def _lifted_window(cfg: dict):
 
     instance, coeffs = _step_expansion(cfg)
     n_levels = cfg["instance"]["n_levels"]
+    carleman.checked_dim(coeffs.d, n_levels)  # before the N x N majorant
     rho = carleman.majorant_and_contractivity(coeffs, n_levels).rho
     step, system = horizon.lift_window(
         coeffs, n_levels, instance.deviations([instance.v0])[0],

@@ -10,13 +10,14 @@ real points it gives trajectories, on complex grids the FFT expansion,
 and on an object array of `MultiPoly` coordinates the map's coordinate
 polynomials.
 
-Coefficient tensors use symmetric placement: a monomial's coefficient is
-spread equally over all ordered index words with that exponent content.
-Placement goes by content: column k of Q_l spells the word of its l
-base-d digits, its content is the column of the same digits sorted, and
-every column whose content is the monomial's exponent beta holds
-coeff / multiplicity(beta).  Operator norms of the resulting Q_l follow
-exactly from a d x d Gram matrix, never from materializing d^l columns.
+Coefficients are stored per monomial: degree l maps each exponent beta
+to the d-vector of its coefficients in the d output coordinates.  Read as
+a tensor, Q_l spreads a monomial's coefficient equally over the ordered
+index words with that exponent content, coeff / multiplicity(beta) each.
+On the symmetric tensors the lift works with (see `carleman`), Q_l is the
+d x C(d+l-1, l) matrix of columns coeff / sqrt(multiplicity(beta)), so
+its operator norm follows exactly from a d x d Gram matrix, never from
+d^l columns.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy import sparse
 
 from .multipoly import MultiPoly
 from .polyapprox import OddPolynomial
@@ -54,8 +54,6 @@ __all__ = [
     "scaled_base_step_error_bound",
 ]
 
-# entries `PolynomialMapCoeffs.as_matrix` may materialize
-_MAX_MATRIX_ENTRIES = 5_000_000
 # `expand_polynomial_map`: largest (d_max + 1)^d exponent box, and the
 # residual check on random real points that enforces the degree promise
 _MAX_EXPAND_GRID = 2_000_000
@@ -328,29 +326,12 @@ def _multiplicity(beta: tuple[int, ...]) -> int:
     return out
 
 
-def _content_index(d: int, ell: int) -> np.ndarray:
-    """Exponent content of each of the d^ell columns of Q_ell.
-
-    A content is named by the column of its sorted word, so two columns
-    share an entry exactly when one word permutes the other.
-    """
-    weights = d ** np.arange(ell - 1, -1, -1, dtype=np.int64)
-    digits = np.arange(d**ell, dtype=np.int64)[:, None] // weights % d
-    return np.sort(digits, axis=1) @ weights
-
-
-def _content_column(beta: tuple[int, ...]) -> int:
-    """Column of the sorted word with exponent content beta."""
-    d, ell = len(beta), sum(beta)
-    return int(np.repeat(np.arange(d), beta) @ d ** np.arange(ell - 1, -1, -1))
-
-
 class PolynomialMapCoeffs:
     """Map v -> sum_l Q_l v^(x l), stored per exponent with one d-vector each.
 
     A value: `terms` and its per-degree maps are read-only views, and the
-    vectors read-only copies, so the norm series, the row sparsities and
-    each Q_l matrix are computed once, and `scaled` makes a new map.
+    vectors read-only copies, so the norm series and the row sparsities
+    are computed once, and `scaled` makes a new map.
     """
 
     def __init__(self, d: int, terms: dict[int, dict[tuple[int, ...], np.ndarray]]):
@@ -366,7 +347,6 @@ class PolynomialMapCoeffs:
         self.terms = MappingProxyType(frozen)
         self._norms = None
         self._row_sparsities = None
-        self._matrices = {}
 
     @property
     def degree(self) -> int:
@@ -456,41 +436,6 @@ class PolynomialMapCoeffs:
             self._row_sparsities = tuple(self.row_sparsity(ell)
                                          for ell in range(self.degree + 1))
         return self._row_sparsities
-
-    def as_matrix(self, ell: int) -> sparse.csr_matrix:
-        """Q_ell as an explicit d x d^ell sparse matrix (small ell only).
-
-        Built once per map; its arrays are read-only.  The entry cap is
-        checked on every call.
-        """
-        by_beta = self.terms.get(ell, {})
-        budget = sum(_multiplicity(beta) * int(np.count_nonzero(coeff))
-                     for beta, coeff in by_beta.items())
-        if budget > _MAX_MATRIX_ENTRIES:
-            raise MemoryError(f"materializing Q_{ell} exceeds the entry cap")
-        if ell not in self._matrices:
-            mat = self._place(ell, by_beta)
-            for arr in (mat.data, mat.indices, mat.indptr):
-                arr.flags.writeable = False
-            self._matrices[ell] = mat
-        return self._matrices[ell]
-
-    def _place(self, ell: int, by_beta) -> sparse.csr_matrix:
-        shape = (self.d, self.d**ell)
-        if not by_beta:
-            return sparse.csr_matrix(shape)
-        values = np.stack([coeff / float(_multiplicity(beta))
-                           for beta, coeff in by_beta.items()])
-        slot = np.full(shape[1], -1)
-        slot[[_content_column(beta) for beta in by_beta]] = np.arange(len(by_beta))
-        which = slot[_content_index(self.d, ell)]
-        cols = np.flatnonzero(which >= 0)
-        placed = values[which[cols]].T
-        # row-major nonzeros with ascending columns: already CSR order
-        rows, k = np.nonzero(placed)
-        indptr = np.zeros(self.d + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.d), out=indptr[1:])
-        return sparse.csr_matrix((placed[rows, k], cols[k], indptr), shape=shape)
 
     def to_json(self) -> str:
         payload = {

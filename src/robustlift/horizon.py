@@ -3,8 +3,10 @@
 The unknown is Y = (y(0), ..., y(T)).  Row block 0 pins y(0); row block
 t >= 1 encodes y(t) - B(t-1) y(t-1) = c(t-1).  The matrix M therefore has
 identity diagonal blocks and -B(t) on the subdiagonal, and the right
-hand side stacks the initial lift above the constant columns.
-`lift_window` builds the system from a step map: the lift, then the stack.
+hand side stacks the initial lift above the constant columns.  Each
+block y(t) is a lift in the symmetric monomial basis of `carleman`,
+C(d+N, N) - 1 coordinates wide.  `lift_window` builds the system from a
+step map: the lift, then the stack.
 
 The system is held as its steps: `HorizonSystem.matvec` applies M block
 by block, and the solvers substitute through the same blocks.  The
@@ -225,9 +227,11 @@ def sparsity_bounds(row_sparsities, n_levels: int) -> SparsityReport:
     """Row-sparsity bounds of B and of the stacked matrix.
 
     `row_sparsities` holds, per step, the per-degree row sparsities
-    (index l gives the max row nonzeros of Q_l); integer convolution of
-    that series bounds each block row, and the stacked matrix adds one
-    diagonal entry.
+    (index l gives the max row nonzeros of Q_l as a d x d^l matrix);
+    integer convolution of that series counts the products of stored
+    terms in a block row of the Kronecker lift.  A row of the symmetric
+    lift holds the distinct monomials of the same products, so the count
+    bounds it too; the stacked matrix adds one diagonal entry.
     """
     per_step = row_sparsities
     if per_step and isinstance(per_step[0], (int, np.integer)):

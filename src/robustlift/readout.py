@@ -30,6 +30,7 @@ __all__ = [
     "DEGENERATE_WEIGHT",
     "TerminalReadout",
     "extract_terminal",
+    "lift_weights",
     "TerminalBound",
     "terminal_error_bound",
     "InfeasibleBudgetError",
@@ -78,6 +79,21 @@ def extract_terminal(normalized_state: np.ndarray, m: int, n: int,
     if weight < DEGENERATE_WEIGHT:
         return TerminalReadout(weight, None, True)
     return TerminalReadout(weight, block / math.sqrt(weight), False)
+
+
+def lift_weights(deviations: np.ndarray, m: int,
+                 n_levels: int) -> tuple[float, float]:
+    """beta0 and p_term of the stacked exact lifts of a trajectory, unbuilt.
+
+    The lift is isometric, ||lift(v)||^2 = sum_{j<=N} ||v||^2j, so beta0 is
+    the first lift's norm and p_term the last state's parameter part over
+    the whole stack (an all-zero window has weight 0 and beta0 0).
+    """
+    sq = np.einsum("ij,ij->i", deviations, deviations)
+    lifted = sum(sq ** j for j in range(1, n_levels + 1))
+    u_term = deviations[-1][m:]
+    return (math.sqrt(lifted[0]),
+            float(u_term @ u_term) / max(float(lifted.sum()), DEGENERATE_WEIGHT))
 
 
 @dataclass(frozen=True)
@@ -371,13 +387,8 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
     vbar_probe = float(np.linalg.norm(dev_probe, axis=1).max())
     probe_coeffs = instance.build_expansion(ps_probe, pc_probe)
     probe_major = carleman.majorant_and_contractivity(probe_coeffs, _N_PROBE)
-    # the probe lift's beta0 and terminal weight, unbuilt: ||v^(x)j|| = ||v||^j
-    sq = np.einsum("ij,ij->i", dev_probe, dev_probe)
-    lifted = sum(sq ** j for j in range(1, _N_PROBE + 1))  # ||lift(v_t)||^2
-    beta0_probe = math.sqrt(lifted[0])
-    u_probe = dev_probe[t_window][m:]  # all-zero window: weight 0, beta0 0
-    p_star = _P_STAR_FRACTION * (float(u_probe @ u_probe)
-                                 / max(float(lifted.sum()), DEGENERATE_WEIGHT))
+    beta0_probe, p_probe = lift_weights(dev_probe, m, _N_PROBE)
+    p_star = _P_STAR_FRACTION * p_probe
 
     # ---- plan
     rho_plan = min(probe_major.rho + _RHO_MARGIN, 0.995)

@@ -6,8 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import robustlift
+
+# every host draws the same examples: a fixed derandomized sequence per
+# test and no example database; each test's own max_examples still holds
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 # the certified sups of critical-mode surrogate designs come from the
 # `chebroots` eigensolve, whose last bits depend on the BLAS thread count,

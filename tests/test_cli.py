@@ -100,8 +100,9 @@ class TestExitCodes:
         assert code == 4
 
     def test_size_limit_is_four(self, tmp_path, capsys):
-        # ~2^41 lifted coordinates: the lift's dimension cap refuses it
-        cfg = write_config(tmp_path, "[instance]\nn_levels = 40\n")
+        # C(4002, 2) - 1 ~ 8.0M lifted coordinates at d = 2: the lift's
+        # dimension cap refuses it before the 4000 x 4000 majorant is formed
+        cfg = write_config(tmp_path, "[instance]\nn_levels = 4000\n")
         code, _ = run(["build-lift", "--config", cfg], tmp_path)
         assert code == 4
         assert "resource limit:" in capsys.readouterr().err
@@ -311,7 +312,9 @@ class TestCommands:
 # as the code wrote them before the instances shared one window protocol.
 # The folded-demo value files were recaptured when the folded step map came
 # from running the step closure on MultiPoly coordinates; the layout files
-# kept their bytes.
+# kept their bytes.  The lift, assemble and solve files of both instances,
+# and folded-demo's bench-compare report, were recaptured when the lift
+# moved from Kronecker powers to the symmetric monomial basis.
 # Recomputed in a child process with every BLAS pool at one thread.
 _STAGE_DIGESTS = Path(__file__).parent / "data" / "stage_artifacts_sha256.json"
 _STAGE_SCRIPT = """

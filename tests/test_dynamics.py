@@ -6,9 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from robustlift import dynamics
+from robustlift.carleman import build_lifted_step, level_offsets, lift_state
 from robustlift.dynamics import (
     AffineGradient,
     AttackSubstep,
@@ -249,7 +249,8 @@ class TestExpansion:
 
         coeffs = expand_polynomial_map(identity, d=3, d_max=2)
         assert coeffs.degree == 1
-        lin = coeffs.as_matrix(1).toarray()
+        # level one of the lift is the map's linear part
+        lin = build_lifted_step(coeffs, 1).b_matrix.toarray()
         np.testing.assert_allclose(lin, np.eye(3), atol=1e-12)
         assert not coeffs.terms.get(0)
 
@@ -683,7 +684,7 @@ class TestExpansionInputs:
         assert list(const.terms) == [0]
         np.testing.assert_allclose(const.constant_vector(), [0.25, 0.25])
         lin = expand_polynomial_map(lambda p: 0.5 * np.asarray(p), 2, 1)
-        np.testing.assert_allclose(lin.as_matrix(1).toarray(),
+        np.testing.assert_allclose(build_lifted_step(lin, 1).b_matrix.toarray(),
                                    0.5 * np.eye(2), atol=1e-15)
 
 
@@ -697,36 +698,38 @@ class TestMapCoeffs:
         polys = folded_step_closure(0, sched, grads, p_s, p_c)(_coordinates(3))
         return PolynomialMapCoeffs.from_coordinate_polys(list(polys), tol=1e-13)
 
-    def test_operator_norm_dominates_matrix_norm(self):
+    def test_operator_norm_is_the_lifted_rows_norm(self):
+        # on the symmetric tensors Q_l is the degree-l block of the lift's
+        # level-one rows, so the Gram route gives that block's spectral norm
         coeffs = self.make()
-        for ell in range(coeffs.degree + 1):
-            if not coeffs.terms.get(ell):
-                continue
-            mat = coeffs.as_matrix(ell)
-            true = sparse.linalg.norm(mat) if min(mat.shape) > 1 else \
-                np.linalg.norm(mat.toarray())
-            # frobenius dominates spectral; bound must dominate spectral
-            spectral = np.linalg.norm(mat.toarray(), 2)
-            assert coeffs.operator_norm(ell) >= spectral - 1e-10
-            assert np.isfinite(true)
+        top = coeffs.degree
+        step = build_lifted_step(coeffs, top)
+        off = level_offsets(coeffs.d, top)
+        checked = 0
+        for ell in range(top + 1):
+            if ell == 0:
+                block = step.c_vector[:coeffs.d, None]
+            else:
+                block = step.b_matrix[:coeffs.d, off[ell - 1]:off[ell]].toarray()
+            assert coeffs.operator_norm(ell) == pytest.approx(
+                np.linalg.norm(block, 2), rel=1e-12, abs=1e-15)
+            checked += bool(coeffs.terms.get(ell))
+        assert checked >= 3
 
-    def test_high_degree_monomial_placed_by_content(self, monkeypatch):
-        # one (6, 6) monomial: 924 of the 4096 columns share its content,
-        # out of 12! orderings of its letters
+    def test_high_degree_monomial_placed_by_content(self):
+        # one (6, 6) monomial, whose content 924 of the 4096 index words
+        # share: the lift's level-one rows hold it once, as coeff / sqrt(924)
         coeff = np.array([0.7, -1.3])
         coeffs = PolynomialMapCoeffs(2, {12: {(6, 6): coeff}})
         start = time.perf_counter()
-        mat = coeffs.as_matrix(12)
+        rows = build_lifted_step(coeffs, 12).b_matrix[:2]
         assert time.perf_counter() - start < 1.0
-        assert mat.shape == (2, 4096) and mat.nnz == 2 * math.comb(12, 6)
-        monkeypatch.setattr(dynamics, "_MAX_MATRIX_ENTRIES", mat.nnz - 1)
-        with pytest.raises(MemoryError, match="entry cap"):
-            coeffs.as_matrix(12)
+        # x0^6 x1^6 is the seventh degree-12 monomial
+        assert rows.indices.tolist() == [level_offsets(2, 12)[11] + 6] * 2
+        np.testing.assert_allclose(rows.data, coeff / math.sqrt(math.comb(12, 6)),
+                                   rtol=1e-15)
         for v in RNG.uniform(-1.5, 1.5, size=(5, 2)):
-            power = np.array([1.0])
-            for _ in range(12):
-                power = np.kron(power, v)
-            np.testing.assert_allclose(mat @ power,
+            np.testing.assert_allclose(rows @ lift_state(v, 12),
                                        coeff * v[0] ** 6 * v[1] ** 6,
                                        rtol=1e-12, atol=0)
 
@@ -759,16 +762,10 @@ class TestMapCoeffs:
         assert list(coeffs.norm_bounds()) == [0.0, 0.5]
         assert coeffs.operator_norm(1) == 0.5
 
-    def test_matrices_and_sparsities_are_built_once(self):
+    def test_sparsities_and_norms_are_built_once(self):
         coeffs = self.make()
         assert coeffs.row_sparsities() is coeffs.row_sparsities()
-        for ell in range(coeffs.degree + 2):
-            mat = coeffs.as_matrix(ell)
-            assert coeffs.as_matrix(ell) is mat
-            for arr in (mat.data, mat.indices, mat.indptr):
-                if arr.size:
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[0] = arr[0]
+        assert coeffs.norm_bounds() is coeffs.norm_bounds()
 
     def test_scaled_multiplies_each_degree(self):
         coeffs = self.make()

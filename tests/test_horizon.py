@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.io import mmread
 
@@ -28,6 +29,7 @@ from robustlift.horizon import (
 from robustlift.instances import (
     certify_instance,
     folded_demo_instance,
+    random_coeff_map,
     random_contractive,
 )
 from robustlift.multipoly import MultiPoly
@@ -295,6 +297,28 @@ class TestSparsity:
         assert measured <= report.s_row
         assert report.s_row == report.s_b + 1
 
+    # the kron-count formula bounds each symmetric row: a row's distinct
+    # monomials never outnumber its products of stored terms
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           degree=st.integers(1, 3), n_levels=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_max_row_nnz_within_bound_on_ladder(self, seed, d, degree,
+                                                n_levels):
+        coeffs = random_coeff_map(np.random.default_rng(seed), d, degree)
+        _, system = lift_window(coeffs, n_levels, np.zeros(d), 3, 0.5)
+        report = sparsity_bounds(coeffs.row_sparsities(), n_levels)
+        assert system.max_row_nnz <= report.s_row
+
+    def test_max_row_nnz_within_bound_on_dense_window(self, saturated_window):
+        # dense coupling among the 10 parameters at d = 12
+        inst = saturated_window(2, 10, 5, "dense")
+        coeffs = inst.build_expansion(None, None)
+        assert coeffs.d == 12
+        for n_levels in (2, 3):
+            _, system = lift_window(coeffs, n_levels, np.zeros(12), 5, 0.5)
+            report = sparsity_bounds(coeffs.row_sparsities(), n_levels)
+            assert system.max_row_nnz <= report.s_row
+
     def test_row_access_count_within_bound(self):
         coeffs, _, system = toy_system(t_window=5)
         report = sparsity_bounds(coeffs.row_sparsities(), system.n_levels)
@@ -393,9 +417,9 @@ class TestLanczosAgainstDenseSvd:
         assert (rep.measured_norm, rep.measured_kappa) == (1.0, 1.0)
 
     def test_long_saturated_toy_window_is_measured(self):
-        # dim 2406: kappa is measured however long the window is
+        # dim 2005: kappa is measured however long the window is
         meas = run_pipeline_certificate(certify_instance(400), 0.05).measurements
-        assert meas["dim"] == 2406
+        assert meas["dim"] == 2005
         assert meas["kappa_measured"] is not None
         assert meas["kappa_measured"] <= meas["kappa_bound"]
 

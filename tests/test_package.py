@@ -59,8 +59,6 @@ _REMOVED_PARAMETERS = {
         "check_points",  # _EXPAND_CHECK_POINTS
         "rng",           # a generator seeded with 0
         "max_grid"),     # _MAX_EXPAND_GRID
-    ("dynamics", "PolynomialMapCoeffs.as_matrix"): (
-        "max_entries",),  # _MAX_MATRIX_ENTRIES
     ("carleman", "lift_state"): ("dim_cap",),  # DEFAULT_DIM_CAP
     ("carleman", "build_lifted_step"): ("dim_cap",),
     ("carleman", "run_truncated_recurrence"): ("dim_cap",),
@@ -123,15 +121,19 @@ def test_reduced_task_holds_what_the_cli_sets():
 
 
 # methods no pipeline called, deleted with the tests that were their only
-# callers, a route replaced by its closed form, and the symbolic twin of
-# the surrogate step (the step now runs on MultiPoly coordinates)
+# callers, a route replaced by its closed form, the symbolic twin of the
+# surrogate step (the step now runs on MultiPoly coordinates), and the
+# Kronecker lift's assembly (the lift now builds symmetric levels)
 _REMOVED_NAMES = {
     "polyapprox": ("OddPolynomial.to_monomial", "OddPolynomial.load_text",
                    "_MONOMIAL_EXPORT_MAX_DEGREE"),
     "dynamics": ("PolynomialMapCoeffs.from_json", "structural_step_polys",
                  "recentre_polys", "AffineGradient.delta_polys",
                  "AffineGradient.u_polys", "PolynomialGradient.delta_polys",
-                 "PolynomialGradient.u_polys"),
+                 "PolynomialGradient.u_polys", "PolynomialMapCoeffs.as_matrix",
+                 "PolynomialMapCoeffs._place", "_content_index",
+                 "_content_column", "_MAX_MATRIX_ENTRIES"),
+    "carleman": ("_Level", "_dense_level", "_merged_level", "_next_level"),
     "instances": ("CertifyInstance.realized_affine_polys",),
     "multipoly": ("MultiPoly.__pow__", "ring_chebval", "MultiPoly.substitute",
                   "MultiPoly.affine", "MultiPoly.zero"),

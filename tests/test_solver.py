@@ -12,6 +12,7 @@ from robustlift.carleman import (
     lift_state,
     majorant_and_contractivity,
 )
+from robustlift import horizon
 from robustlift.dynamics import PolynomialMapCoeffs
 from robustlift.horizon import assemble_horizon
 from robustlift.instances import random_coeff_map
@@ -122,8 +123,10 @@ class TestDifferential:
         assert sol.residual <= 1e-12 and fwd.residual <= 1e-12
 
     def test_frontier_size_solves_without_stacked_matrix(self):
-        # (d=4, degree 3, N=5, T=50): 1364-wide blocks, ~93M stacked nonzeros
-        system, sol, fwd = random_window(5, 4, 3, 5, 50)
+        # (d=4, degree 3, N=7, T=500): 329-wide blocks, ~53M stacked nonzeros
+        system, sol, fwd = random_window(5, 4, 3, 7, 500)
+        assert system.block_dim == 329
+        assert system.stacked_nnz > horizon.MAX_STACKED_NNZ
         assert sol.residual <= 1e-12 and fwd.residual <= 1e-12
         assert rel_gap(sol.stacked, fwd.stacked) <= 1e-10
         assert "matrix" not in system.__dict__
