@@ -23,6 +23,7 @@ scaled power series of the same norms bound the discarded levels.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +35,8 @@ __all__ = [
     "delta_dim",
     "checked_dim",
     "level_offsets",
+    "level_product_counts",
+    "LiftSizeError",
     "lift_state",
     "LiftedStep",
     "build_lifted_step",
@@ -49,6 +52,14 @@ __all__ = [
 
 # largest lifted dimension a lift or a lifted state may have
 DEFAULT_DIM_CAP = 5_000_000
+# largest matrix, in stored entries, that a lift's B or the stacked CSR of
+# its window (see `horizon`) may hold
+MAX_STACKED_NNZ = 50_000_000
+
+
+class LiftSizeError(MemoryError):
+    """A lift refused before allocation: its B may hold more than
+    MAX_STACKED_NNZ entries."""
 
 
 def delta_dim(d: int, n_levels: int) -> int:
@@ -69,6 +80,56 @@ def checked_dim(d: int, n_levels: int) -> int:
 def level_offsets(d: int, n_levels: int) -> np.ndarray:
     """Start offset of each level block; entry [j-1] is where level j begins."""
     return np.array([delta_dim(d, j) for j in range(n_levels + 1)])
+
+
+def level_product_counts(row_sparsities, n_levels: int) -> Iterator[int]:
+    """P_j for j = 1..N: products of stored terms in a row of level j.
+
+    `row_sparsities[l]` is the max row nonzeros of Q_l as a d x d^l
+    matrix.  The integer convolution power series^j, truncated at degree
+    N, counts the products of stored terms of each degree in a block row
+    of the Kronecker lift; P_j sums it over the degrees s >= 1, the
+    columns of B.  A row of the symmetric lift holds the distinct
+    monomials of the same products, so P_j bounds it too.
+    """
+    series = [int(x) for x in row_sparsities]
+    power = [1]
+    for _ in range(n_levels):
+        new = [0] * min(len(power) + len(series) - 1, n_levels + 1)
+        for a, ca in enumerate(power):
+            if ca == 0:
+                continue
+            for bdeg, cb in enumerate(series):
+                if a + bdeg >= n_levels + 1:
+                    break
+                new[a + bdeg] += ca * cb
+        power = new
+        yield sum(power[1:])
+
+
+def _check_lift_nnz(coeffs, n_levels: int, dim: int) -> None:
+    """Refuse a lift whose B may hold more than MAX_STACKED_NNZ entries.
+
+    Row alpha is zero unless every p_i, i in alpha, stores a term of
+    degree <= N, so level j has C(d' + j - 1, j) rows that are not, d'
+    the coordinates that store one; each holds at most min(P_j, dim)
+    entries.  The count stops at the level that passes the budget, and
+    is skipped when dim^2, the most a dim x dim matrix holds, is within it.
+    """
+    if dim * dim <= MAX_STACKED_NNZ:
+        return
+    live = int(np.count_nonzero(np.any(
+        [c for ell, by_beta in coeffs.terms.items() if ell <= n_levels
+         for c in by_beta.values()], axis=0)))
+    bound = 0
+    counts = level_product_counts(coeffs.row_sparsities(), n_levels)
+    for j, products in enumerate(counts, start=1):
+        bound += math.comb(live + j - 1, j) * min(products, dim)
+        if bound > MAX_STACKED_NNZ:
+            raise LiftSizeError(
+                f"lifted step at N = {n_levels} may hold more than "
+                f"MAX_STACKED_NNZ = {MAX_STACKED_NNZ} nonzeros "
+                f"(levels 1..{j} alone bound {bound})")
 
 
 @dataclass(frozen=True)
@@ -247,9 +308,12 @@ def build_lifted_step(coeffs, n_levels: int) -> LiftedStep:
     no dense product, so an unstored zero is never multiplied and no sum
     depends on the BLAS threads.  A product entry that sums to exactly
     zero is not stored.  B is written with int32 indices while they fit.
+    Before anything is allocated, a lift whose closed-form count of
+    stored entries passes MAX_STACKED_NNZ is refused with LiftSizeError.
     """
     d = coeffs.d
     dim = checked_dim(d, n_levels)
+    _check_lift_nnz(coeffs, n_levels, dim)
     mono = _monomials(d, n_levels)
     terms = _map_terms(coeffs, mono, n_levels)
     # level one: row 1 + i is p_i itself

@@ -28,7 +28,8 @@ from itertools import groupby
 import numpy as np
 from scipy import sparse
 
-from .carleman import LiftedStep, build_lifted_step, delta_dim, lift_state
+from .carleman import (MAX_STACKED_NNZ, LiftedStep, build_lifted_step,
+                       delta_dim, level_product_counts, lift_state)
 
 __all__ = [
     "HorizonSystem",
@@ -42,9 +43,6 @@ __all__ = [
     "condition_bounds",
     "save_matrix_market",
 ]
-
-# largest stacked matrix, in nonzeros, that the lazy CSR builder allocates
-MAX_STACKED_NNZ = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -227,31 +225,15 @@ def sparsity_bounds(row_sparsities, n_levels: int) -> SparsityReport:
     """Row-sparsity bounds of B and of the stacked matrix.
 
     `row_sparsities` holds, per step, the per-degree row sparsities
-    (index l gives the max row nonzeros of Q_l as a d x d^l matrix);
-    integer convolution of that series counts the products of stored
-    terms in a block row of the Kronecker lift.  A row of the symmetric
-    lift holds the distinct monomials of the same products, so the count
-    bounds it too; the stacked matrix adds one diagonal entry.
+    (index l gives the max row nonzeros of Q_l as a d x d^l matrix).
+    s_b is the largest level product count P_j of any step
+    (`level_product_counts`); the stacked matrix adds one diagonal entry.
     """
     per_step = row_sparsities
     if per_step and isinstance(per_step[0], (int, np.integer)):
         per_step = [per_step]
-    s_b = 0
-    for series in per_step:
-        series = [int(x) for x in series]
-        power = [1]
-        for _ in range(n_levels):
-            new = [0] * min(len(power) + len(series) - 1, n_levels + 1)
-            for a, ca in enumerate(power):
-                if ca == 0 or a >= n_levels + 1:
-                    continue
-                for bdeg, cb in enumerate(series):
-                    if a + bdeg >= n_levels + 1:
-                        break
-                    new[a + bdeg] += ca * cb
-            power = new
-            # block row j sums its level's terms over the columns s >= 1
-            s_b = max(s_b, sum(power[1:]))
+    s_b = max((p for series in per_step
+               for p in level_product_counts(series, n_levels)), default=0)
     return SparsityReport(s_b=s_b, s_row=s_b + 1)
 
 

@@ -10,7 +10,11 @@ Two building blocks are produced here:
 
 Construction is Chebyshev interpolation of an erf-mollified sign whose
 width is tied to the gap, followed by an incremental degree search until
-an explicit verifier certifies the requested bounds.  An OddPolynomial
+an explicit verifier certifies the requested bounds.  Each candidate's
+coefficients come from its samples at the Chebyshev points of the first
+kind by one FFT (a DCT-II), in O(n log n) time and O(n) memory, not from
+a dense Chebyshev-Vandermonde product; so grid-mode design makes no BLAS
+call and no bit of it depends on the BLAS thread count.  An OddPolynomial
 stores only odd-degree coefficients, so P(-x) = -P(x) exactly, and the
 sign and clip clauses are certified on the half-line x >= 0 alone: each
 negative-side clause is the mirror image of a positive one.  The grid
@@ -561,6 +565,25 @@ def _mollified_sign(tau_t: float, delta: float):
     return (lambda x: amp * special.erf(x / w)), w
 
 
+def _chebinterpolate(func, deg: int) -> np.ndarray:
+    """numpy's chebinterpolate(func, deg) by one FFT: O(n log n) time, O(n) memory.
+
+    Samples func at the n = deg + 1 nodes C.chebpts1(n); read in
+    descending order they are cos(pi (2j + 1) / 2n), so
+    c_k = (2 / n) sum_j f_j cos(pi k (2j + 1) / 2n), halved at k = 0, is a
+    DCT-II of the samples.  The DCT is one complex FFT of the samples
+    reordered evens up, odds down, times the phase exp(-i pi k / 2n)
+    (Makhoul 1980).  No BLAS call, so no bit depends on the BLAS threads.
+    """
+    n = deg + 1
+    f = np.asarray(func(C.chebpts1(n)), dtype=float)[::-1]
+    v = np.concatenate([f[0::2], f[1::2][::-1]])
+    twiddle = np.exp(-0.5j * np.pi / n * np.arange(n))
+    coeffs = (np.fft.fft(v) * twiddle).real * (2.0 / n)
+    coeffs[0] *= 0.5
+    return coeffs
+
+
 _DENSITY_CAP = 2e7
 
 
@@ -587,7 +610,7 @@ def _search_sign(spec: SignSpec) -> tuple[OddPolynomial, float]:
     deg = max(3, int(math.ceil(1.2 / w)) | 1)
     hint = _FailHint()
     while deg <= _MAX_DESIGN_DEGREE:
-        full = C.chebinterpolate(target, deg)
+        full = _chebinterpolate(target, deg)
         full[0::2] = 0.0  # odd target: even coefficients are rounding noise
         cand = OddPolynomial(full[1::2], 1.0)
         density = _design_density(cand, _DESIGN_DENSITY, spec.delta)
@@ -668,7 +691,7 @@ def design_clip_poly(spec: ClipSpec) -> OddPolynomial:
 
     # exact interpolation: combo is a polynomial of degree <= deg S + 1
     deg = inner.degree + 1
-    full = C.chebinterpolate(lambda t: combo(spec.big_l * t), deg)
+    full = _chebinterpolate(lambda t: combo(spec.big_l * t), deg)
     full[0::2] = 0.0  # combo is odd; even part is rounding noise
     cand = OddPolynomial(full[1::2], spec.big_l)
     density = _design_density(cand, _DESIGN_DENSITY, spec.delta / spec.big_l)

@@ -443,12 +443,18 @@ def run_pipeline_certificate(instance, eps_out: float, mode: str = "terminal",
 
     # ---- lift, stack, solve; tight targets can escalate the lift far past
     # what this host can stack, so drop levels until the stacked matrix
-    # fits, the tail hypothesis then reports what the smaller lift delivers
+    # fits, the tail hypothesis then reports what the smaller lift delivers;
+    # a lift its preflight refuses is dropped the same way
     while True:
-        _, system = horizon.lift_window(coeffs, n_levels, dev_model[0],
-                                        t_window, major.rho)
-        if n_levels <= 2 or system.stacked_nnz <= horizon.MAX_STACKED_NNZ:
-            break
+        try:
+            _, system = horizon.lift_window(coeffs, n_levels, dev_model[0],
+                                            t_window, major.rho)
+        except carleman.LiftSizeError:
+            if n_levels <= 2:
+                raise
+        else:
+            if n_levels <= 2 or system.stacked_nnz <= horizon.MAX_STACKED_NNZ:
+                break
         n_levels -= 1
         major, tail = bounds(n_levels)
     beta0 = float(np.linalg.norm(system.rhs[:system.block_dim]))

@@ -8,6 +8,7 @@ coordinates of level j to the d^j index words.
 
 import itertools
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -379,6 +380,40 @@ def assert_same_lift(coeffs, n_levels):
 
 def shipped_coeffs(instance):
     return instance.build_expansion(*instance.design_polys(0.05, 0.05))
+
+
+class TestLiftPreflight:
+    def test_dense_affine_map_refused_within_a_second(self):
+        # 20,300 lifted coordinates and ~N^4 / 7 ~ 2.3e8 entries of B
+        coeffs = random_coeff_map(np.random.default_rng(0), 2, 1)
+        start = time.perf_counter()
+        with pytest.raises(carleman.LiftSizeError, match="MAX_STACKED_NNZ"):
+            build_lifted_step(coeffs, 200)
+        assert time.perf_counter() - start < 1.0
+        assert issubclass(carleman.LiftSizeError, MemoryError)
+
+    @pytest.mark.parametrize("case", [
+        ("random", 0, 2, 1, 20), ("random", 1, 3, 3, 4),
+        ("random", 2, 1, 3, 6), ("random", 3, 4, 2, 3),
+        ("saturated-toy", 50), ("folded-demo", 9)], ids=str)
+    def test_bound_covers_the_stored_entries(self, monkeypatch, case):
+        if case[0] == "random":
+            _, seed, d, degree, n_levels = case
+            coeffs = random_coeff_map(np.random.default_rng(seed), d, degree)
+        elif case[0] == "saturated-toy":
+            coeffs, n_levels = shipped_coeffs(certify_instance(50)), case[1]
+        else:
+            coeffs, n_levels = shipped_coeffs(folded_demo_instance(6)), case[1]
+        nnz = build_lifted_step(coeffs, n_levels).b_matrix.nnz
+        monkeypatch.setattr(carleman, "MAX_STACKED_NNZ", nnz - 1)
+        with pytest.raises(carleman.LiftSizeError):
+            build_lifted_step(coeffs, n_levels)
+
+    def test_zero_coordinates_add_no_rows(self):
+        # the saturated toy's deviation map is (0, 0.081 + 0.7 u): only the
+        # rows u^j are nonzero, and at N = 200 they hold sum_j j entries
+        coeffs = shipped_coeffs(certify_instance(50))
+        assert build_lifted_step(coeffs, 200).b_matrix.nnz == 200 * 201 // 2
 
 
 class TestKronDifferential:

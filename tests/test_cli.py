@@ -107,6 +107,16 @@ class TestExitCodes:
         assert code == 4
         assert "resource limit:" in capsys.readouterr().err
 
+    def test_lift_preflight_is_four(self, tmp_path, capsys):
+        # folded-demo's dense degree-15 step at N = 200: 20,300 lifted
+        # coordinates fit the dimension cap, but B's entries, bounded
+        # before anything is allocated, pass MAX_STACKED_NNZ
+        cfg = write_config(tmp_path, "[instance]\nname = folded-demo\n"
+                                     "n_levels = 200\n")
+        code, _ = run(["build-lift", "--config", cfg], tmp_path)
+        assert code == 4
+        assert "MAX_STACKED_NNZ" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["build-lift", "solve"])
     @pytest.mark.parametrize("n_levels", [0, -2])
     def test_no_lift_levels_is_two(self, tmp_path, capsys, command, n_levels):

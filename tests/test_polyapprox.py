@@ -275,29 +275,29 @@ class TestHalfLineClauses:
 
     @pytest.mark.parametrize("spec, degree, digest", [
         (SignSpec(1.0, 0.2, 0.05), 27,
-         "70f838221b5f1f467ef8117f2c8e63c6d2d53aceb05fe8d7525edcee4339c0c4"),
+         "df5aa7fa79f6571e8be3387b4a0ca40e91917c680868a74dd7f94cce7547b24b"),
         (ClipSpec(2.0, 0.1, 0.02), 277,
-         "9de78e1854e349e33565f4dcb79741bff145313e78465046ea4e4d2f8491308b"),
+         "17ee827a519cb06fbe7ea0d91bb40ef3c40c78b686f38818234912111a39e081"),
         (SignSpec(1.0, 0.7, 1e-3), 19,
-         "8eb4f67412cff30aa0918ca27ca7252bb26ec29e7fff8e19e1cdb6379a7d7ab2"),
+         "7b95f503fb025028cf13e2338747d73ed7fbc34e9a7607f99c0665242b61516e"),
     ], ids=["design-polys-sign", "design-polys-clip", "sign-0.7-1e-3"])
     def test_designs_keep_their_bytes(self, spec, degree, digest):
-        # sha256 of odd_coeffs as designed when the clauses still covered
-        # both halves of the interval
+        # sha256 of odd_coeffs as interpolated by one FFT; the degrees are
+        # those of the Vandermonde product the FFT replaced
         poly, _ = _designed(spec)
         assert poly.degree == degree
         assert hashlib.sha256(poly.odd_coeffs.tobytes()).hexdigest() == digest
 
     def test_critical_certificates_keep_their_bytes(self, pinned_child):
         # sha256 of json.dumps(certificate.to_dict()) with one BLAS thread,
-        # as designed before the derivative was trimmed for chebroots
+        # for candidates interpolated by one FFT
         want = {
             "1.0,0.1,1e-06":
-                "b480eae24b90d128c80a7984f7094e7789d8cfbb4703c0c02292d87e8c0a1545",
+                "31dfad0ec211e41e3b5c714eaf6f0c443845f89049623ceb7f3ecf5bcbd1300f",
             "1.0,0.2,5e-06":
-                "a16d14bf45bc4502e7c95bccb16cd7e6bccb94bd03c0c405975c1ecd041afb64",
+                "5ef952b41a8f580e83743a0dd5c692ad6282dd0a0a374428bddf1b08ef1b8639",
             "2.0,0.3,1e-06":
-                "9a868c59cb089eb94eb957afc8e2e961a860516074b60a00cd795ae9a3a98d07",
+                "ddabfd6270cb7e39dba7c9b181911e6efb918165b9bde09e151c857c87329171",
         }
         got = json.loads(pinned_child(_CRITICAL_SCRIPT, json.dumps(list(want))))
         assert got == want
@@ -346,7 +346,7 @@ def _search_sign_no_hint(spec, grid_density=1e4, mode="auto"):
     checks_unit = sign_checks(SignSpec(1.0, tau_t, spec.delta))
     deg = max(3, int(math.ceil(1.2 / w)) | 1)
     while True:
-        full = C.chebinterpolate(target, deg)
+        full = polyapprox._chebinterpolate(target, deg)
         full[0::2] = 0.0
         cand = OddPolynomial(full[1::2], 1.0)
         density = polyapprox._design_density(cand, grid_density, spec.delta)
@@ -373,7 +373,8 @@ def _full_verify_clip(spec, grid_density=1e4, mode="auto"):
     def combo(x):
         return 0.5 * ((x + 1.0) * inner(x + 1.0) - (x - 1.0) * inner(x - 1.0))
 
-    full = C.chebinterpolate(lambda t: combo(spec.big_l * t), inner.degree + 1)
+    full = polyapprox._chebinterpolate(lambda t: combo(spec.big_l * t),
+                                       inner.degree + 1)
     full[0::2] = 0.0
     cand = OddPolynomial(full[1::2], spec.big_l)
     density = polyapprox._design_density(cand, grid_density,
@@ -704,6 +705,42 @@ class TestSearchMatchesFullVerify:
         assert got.degree == want.degree
         assert np.float64(got_density).tobytes() == np.float64(
             want_density).tobytes()
+
+
+_INTERPOLATE_SCRIPT = """
+import numpy as np
+from robustlift import polyapprox
+print(polyapprox._chebinterpolate(lambda x: np.tanh(5 * x), 1001).tobytes().hex())
+"""
+
+
+class TestChebinterpolate:
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 27, 277, 1001])
+    @pytest.mark.parametrize("func", [np.exp, lambda x: np.tanh(5 * x),
+                                      lambda x: 1.0 / (1.0 + 25.0 * x * x)],
+                             ids=["exp", "tanh", "runge"])
+    def test_matches_numpy(self, func, deg):
+        got = polyapprox._chebinterpolate(func, deg)
+        want = C.chebinterpolate(func, deg)
+        assert got.shape == want.shape == (deg + 1,)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("deg", [1, 3, 27, 277])
+    def test_returns_a_series_of_its_degree(self, deg):
+        # the clip's combo path: a polynomial of degree D interpolated at
+        # degree D is its own series; the samples carry chebval's rounding,
+        # eps times the coefficients' 1-norm
+        series = np.random.default_rng(deg).standard_normal(deg + 1)
+        got = polyapprox._chebinterpolate(lambda x: C.chebval(x, series), deg)
+        assert np.abs(got - series).max() <= 1e-13 * np.abs(series).sum()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, pinned_child):
+        # numpy's Vandermonde product gives different bytes at degree 1001
+        # with one and with two BLAS threads; the FFT calls no BLAS
+        one, two = (pinned_child(_INTERPOLATE_SCRIPT, threads=n) for n in (1, 2))
+        assert one == two
+        assert bytes.fromhex(one) == polyapprox._chebinterpolate(
+            lambda x: np.tanh(5 * x), 1001).tobytes()
 
 
 class TestBudgetSplit:

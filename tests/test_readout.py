@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 
 import robustlift.readout
-from robustlift import horizon
+from robustlift import carleman, horizon
 from robustlift.carleman import (LiftedStep, build_lifted_step, lift_state,
                                  majorant_and_contractivity,
                                  tail_constant_and_cutoff)
@@ -273,6 +273,26 @@ class TestPipelineCertificate:
         assert capped.n_levels == 2 < free.n_levels
         assert set(capped.hypotheses) == set(free.hypotheses)
         assert json.loads(capped.to_json())["n_levels"] == 2
+
+    def test_refused_lift_drops_a_level(self, monkeypatch):
+        # a lift its preflight refuses is dropped like an over-cap stack,
+        # down to two levels; a refused two-level lift is raised
+        inst = folded_demo_instance()
+        free = run_pipeline_certificate(inst, 0.3)
+        build = horizon.build_lifted_step
+        floor = [2]
+
+        def refuse_above_floor(coeffs, n_levels):
+            if n_levels > floor[0]:
+                raise carleman.LiftSizeError("refused for the test")
+            return build(coeffs, n_levels)
+
+        monkeypatch.setattr(horizon, "build_lifted_step", refuse_above_floor)
+        capped = run_pipeline_certificate(inst, 0.3)
+        assert capped.n_levels == 2 < free.n_levels
+        floor[0] = 1
+        with pytest.raises(carleman.LiftSizeError):
+            run_pipeline_certificate(inst, 0.3)
 
     def test_h3_flags_rows_above_the_sparsity_bound(self, monkeypatch):
         # the stored rows hold more than the reported bound: H3 is flagged
